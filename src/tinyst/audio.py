@@ -138,7 +138,6 @@ class SpecAugmentPolicy:
     max_freq_width: int = 8
     n_time_masks: int = 2
     max_time_fraction: float = 0.05
-    mask_value: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.max_freq_width <= N_MELS:
@@ -155,9 +154,9 @@ def spec_augment(features: np.ndarray, policy: SpecAugmentPolicy, rng: RngStream
                  return_masks: bool = False):
     """Apply frequency and time masking to a copy of `features`.
 
-    Each frequency mask zeroes (or sets to policy.mask_value) a contiguous
-    band of u channels, u drawn uniformly from {0..max_freq_width}; each time
-    mask likewise spans u frames with u up to max_time_fraction * frames.
+    Each frequency mask zeroes a contiguous band of u channels, u drawn
+    uniformly from {0..max_freq_width}; each time mask likewise spans u
+    frames with u up to max_time_fraction * frames.
     Mask placement is uniform over positions that keep the band in bounds.
 
     Returns the masked copy, or (copy, masks) with masks as a list of
@@ -171,14 +170,14 @@ def spec_augment(features: np.ndarray, policy: SpecAugmentPolicy, rng: RngStream
         start = int(rng.integers(0, n_chan - width + 1))
         masks.append(("freq", start, width))
         if width:
-            out[:, start:start + width] = policy.mask_value
+            out[:, start:start + width] = 0.0
     max_t = int(policy.max_time_fraction * n_frames)
     for _ in range(policy.n_time_masks):
         width = int(rng.integers(0, max_t + 1))
         start = int(rng.integers(0, n_frames - width + 1))
         masks.append(("time", start, width))
         if width:
-            out[start:start + width, :] = policy.mask_value
+            out[start:start + width, :] = 0.0
     return (out, masks) if return_masks else out
 
 

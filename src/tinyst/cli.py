@@ -1,6 +1,6 @@
 """Command-line entry points for the full workflow: generate or prepare
-data, train, average checkpoints, decode (single or ensemble), score, and
-run the numeric self-checks.
+data, train, average checkpoints, decode with one model or an ensemble
+(`decode --checkpoint A [B ...]`), score, and run the numeric self-checks.
 
 Every command exits 0 on success and 1 with a one-line `error: ...`
 diagnostic on failure; argparse reports usage problems with exit code 2.
@@ -83,9 +83,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
     ]:
         g.add_argument(f"--{name}", type=float, help=help_text)
     for name, help_text in [
-        ("prenorm", "layer norm before each sublayer (true)"),
         ("dlcl", "learned combination of layer outputs (true)"),
-        ("decoder-abs-pos", "sinusoidal positions in the decoder (true)"),
         ("adaptor-mix-embeddings", "adaptor adds CTC-weighted embeddings (false)"),
     ]:
         g.add_argument(f"--{name}", type=_bool_flag, metavar="BOOL", help=help_text)
@@ -262,10 +260,10 @@ def cmd_average(args) -> int:
     return 0
 
 
-def _decode_lines(model_paths, args):
+def cmd_decode(args) -> int:
     loaded = []
     subwords = _load_subword_dir(args.subwords)
-    for path in model_paths:
+    for path in args.checkpoint:
         model, _ = load_model(path)
         _check_vocab(model, subwords, path)
         loaded.append(model)
@@ -279,7 +277,8 @@ def _decode_lines(model_paths, args):
         best = beam_search(pairs, cfg)[0]
         text = subword_decode(subwords, best.tokens)
         lines.append(f"{sample.utt_id}\t{text}\t{best.norm_score:.6f}")
-    return lines
+    _emit(lines, args.out)
+    return 0
 
 
 def _emit(lines, out_path):
@@ -290,16 +289,6 @@ def _emit(lines, out_path):
     else:
         for line in lines:
             print(line)
-
-
-def cmd_decode(args) -> int:
-    _emit(_decode_lines([args.checkpoint], args), args.out)
-    return 0
-
-
-def cmd_ensemble_decode(args) -> int:
-    _emit(_decode_lines(args.checkpoints, args), args.out)
-    return 0
 
 
 def cmd_ctc_decode(args) -> int:
@@ -433,26 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_average)
 
-    def add_decode_flags(p):
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--subwords", required=True)
-        p.add_argument("--out", help="write id<TAB>text<TAB>score lines here "
-                                     "instead of stdout")
-        p.add_argument("--beam", type=int, default=5)
-        p.add_argument("--lennorm-beta", type=float, default=1.0)
-        p.add_argument("--max-len-factor", type=float, default=1.0)
-        p.add_argument("--extra-len", type=int, default=10)
-
-    p = sub.add_parser("decode", help="beam-search translate with one model")
-    p.add_argument("--checkpoint", required=True)
-    add_decode_flags(p)
+    p = sub.add_parser("decode",
+                       help="beam-search translate with one model or an ensemble")
+    p.add_argument("--checkpoint", nargs="+", required=True,
+                   help="one checkpoint, or several to decode as an ensemble")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--subwords", required=True)
+    p.add_argument("--out", help="write id<TAB>text<TAB>score lines here "
+                                 "instead of stdout")
+    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--lennorm-beta", type=float, default=1.0)
+    p.add_argument("--max-len-factor", type=float, default=1.0)
+    p.add_argument("--extra-len", type=int, default=10)
     p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("ensemble-decode",
-                       help="beam-search translate with several models")
-    p.add_argument("--checkpoints", nargs="+", required=True)
-    add_decode_flags(p)
-    p.set_defaults(func=cmd_ensemble_decode)
 
     p = sub.add_parser("ctc-decode",
                        help="greedy CTC transcription from the encoder")

@@ -76,11 +76,10 @@ class Sample:
 
 
 def load_dataset(manifest_path, subwords: SubwordModel,
-                 apply_length_filter: bool = True,
-                 per_utterance_cmvn: bool = True) -> list:
+                 apply_length_filter: bool = True) -> list:
     """Materialize a manifest into samples ready for batching.
 
-    Feature matrices are loaded from the cache files, optionally mean/variance
+    Feature matrices are loaded from the cache files and mean/variance
     normalized per utterance, and texts are encoded with the shared subword
     model (transcripts normalized for CTC first).
     """
@@ -95,9 +94,7 @@ def load_dataset(manifest_path, subwords: SubwordModel,
         if feats.shape[0] != e.n_frames:
             raise ValueError(f"{e.utt_id}: manifest says {e.n_frames} frames but "
                              f"{path} holds {feats.shape[0]}")
-        if per_utterance_cmvn:
-            feats = apply_cmvn(feats)
-        samples.append(Sample(e.utt_id, feats,
+        samples.append(Sample(e.utt_id, apply_cmvn(feats),
                               encode(subwords, normalize_for_ctc(e.transcript)),
                               encode(subwords, e.translation)))
     return samples

@@ -78,14 +78,9 @@ def ensemble_log_prob(rows) -> np.ndarray:
 
 
 def _step_distribution(models, prefix: np.ndarray) -> np.ndarray:
-    rows = []
-    for model, enc in models:
-        logits = model.decoder_step(enc, prefix)
-        rows.append(logits.log_softmax(axis=-1).data[0])
-    sizes = {r.shape[0] for r in rows}
-    if len(sizes) > 1:
-        raise ValueError(f"models disagree on vocabulary size: {sorted(sizes)}")
-    return ensemble_log_prob(np.stack(rows))
+    return ensemble_log_prob([
+        model.decoder_step(enc, prefix).log_softmax(axis=-1).data[0]
+        for model, enc in models])
 
 
 def beam_search(models: list, cfg: DecodeConfig,

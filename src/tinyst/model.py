@@ -49,12 +49,10 @@ class ModelConfig:
     dropout: float = 0.1
     attn_dropout: float = 0.1
     act_dropout: float = 0.1
-    prenorm: bool = True
     dlcl: bool = True
     rpe_enc_max: int = 100
     rpe_dec_max: int = 20
     conv_kernel: int = 7
-    decoder_abs_pos: bool = True
     adaptor_mix_embeddings: bool = False
 
     def __post_init__(self):
@@ -267,10 +265,9 @@ class FeedForward(Module):
 
 
 class TransformerEncoderLayer(Module):
-    """Self-attention + FFN with residuals; pre-norm by default."""
+    """Self-attention + FFN, each behind a layer norm on a residual branch."""
 
     def __init__(self, cfg: ModelConfig, rng: RngStream, max_rel: int | None = None):
-        self.prenorm = cfg.prenorm
         self.drop = cfg.dropout
         self.norm1 = LayerNorm(cfg.hidden)
         self.norm2 = LayerNorm(cfg.hidden)
@@ -280,17 +277,12 @@ class TransformerEncoderLayer(Module):
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: RngStream | None = None) -> Tensor:
-        if self.prenorm:
-            h = self.norm1(x)
-            x = x + dropout(self.attn(h, h, training=training, rng=rng),
-                            self.drop, rng, training)
-            x = x + dropout(self.ffn(self.norm2(x), training, rng),
-                            self.drop, rng, training)
-            return x
-        a = self.attn(x, x, training=training, rng=rng)
-        x = self.norm1(x + dropout(a, self.drop, rng, training))
-        f = self.ffn(x, training, rng)
-        return self.norm2(x + dropout(f, self.drop, rng, training))
+        h = self.norm1(x)
+        x = x + dropout(self.attn(h, h, training=training, rng=rng),
+                        self.drop, rng, training)
+        x = x + dropout(self.ffn(self.norm2(x), training, rng),
+                        self.drop, rng, training)
+        return x
 
 
 class ConvModule(Module):
@@ -317,15 +309,10 @@ class ConvModule(Module):
 
 
 class ConformerBlock(Module):
-    """Macaron block: half-FFN, self-attention, convolution, half-FFN, LN.
-
-    `use_final_norm` exists so tests can observe the pure residual path; it
-    is True in every training/inference configuration.
-    """
+    """Macaron block: half-FFN, self-attention, convolution, half-FFN, LN."""
 
     def __init__(self, cfg: ModelConfig, rng: RngStream, max_rel: int | None = None):
         self.drop = cfg.dropout
-        self.use_final_norm = True
         self.norm_ffn1 = LayerNorm(cfg.hidden)
         self.ffn1 = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn1"),
                                 cfg.act_dropout, activation="swish")
@@ -350,7 +337,7 @@ class ConformerBlock(Module):
         x = x + self.conv(self.norm_conv(x), training, rng)
         x = x + dropout(self.ffn2(self.norm_ffn2(x), training, rng),
                         self.drop, rng, training) * 0.5
-        return self.norm_out(x) if self.use_final_norm else x
+        return self.norm_out(x)
 
 
 class DlclCombiner(Module):
@@ -435,7 +422,7 @@ class _EncoderStack(Module):
         # Plain sequential pre-norm transformer stacks need a closing norm;
         # conformer blocks and DLCL combinations already end normalized.
         self.final_norm = (LayerNorm(cfg.hidden)
-                           if not cfg.dlcl and not conformer and cfg.prenorm else None)
+                           if not cfg.dlcl and not conformer else None)
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: RngStream | None = None) -> Tensor:
@@ -503,7 +490,7 @@ class SpeechTranslator(Module):
         self.embed = Embedding(cfg.vocab_size, cfg.hidden, rng.child("embed"))
         self.dec_layers = [TransformerDecoderLayer(cfg, rng.child("dec", i), dec_rel)
                            for i in range(cfg.dec_layers)]
-        self.dec_norm = LayerNorm(cfg.hidden) if cfg.prenorm else None
+        self.dec_norm = LayerNorm(cfg.hidden)
         self.out_proj = Linear(cfg.hidden, cfg.vocab_size, rng.child("out_proj"))
 
     def encode(self, features: Tensor, training: bool = False,
@@ -535,15 +522,11 @@ class SpeechTranslator(Module):
             raise ValueError(f"prefix must be (B, >=1) token ids, got {prefix.shape}")
         if np.any(prefix[:, 0] != BOS_ID):
             raise ValueError("decoder prefix must begin with bos")
-        x = self.embed(prefix) * math.sqrt(self.cfg.hidden)
-        if self.cfg.decoder_abs_pos:
-            x = add_absolute_positions(x)
+        x = add_absolute_positions(self.embed(prefix) * math.sqrt(self.cfg.hidden))
         x = dropout(x, self.cfg.dropout, rng, training)
         for layer in self.dec_layers:
             x = layer(x, enc.memory, training, rng)
-        if self.dec_norm is not None:
-            x = self.dec_norm(x)
-        return self.out_proj(x)
+        return self.out_proj(self.dec_norm(x))
 
     def decoder_step(self, enc: EncoderOutput, prefix: np.ndarray) -> Tensor:
         """Next-token logits (B, vocab) after the given prefix (crash on

@@ -16,11 +16,8 @@ import numpy as np
 class RngStream:
     """Seeded wrapper around numpy's PCG64 generator."""
 
-    def __init__(self, seed: int, algorithm: str = "pcg64"):
-        if algorithm != "pcg64":
-            raise ValueError(f"unknown rng algorithm: {algorithm!r}")
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.algorithm = algorithm
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, *tags) -> "RngStream":
@@ -31,7 +28,7 @@ class RngStream:
         """
         key = ":".join([str(self.seed)] + [str(t) for t in tags])
         digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return RngStream(int.from_bytes(digest, "little"), self.algorithm)
+        return RngStream(int.from_bytes(digest, "little"))
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
@@ -52,4 +49,4 @@ class RngStream:
         return [items[i] for i in self.permutation(len(items))]
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r})"
+        return f"RngStream(seed={self.seed})"

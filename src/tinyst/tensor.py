@@ -61,7 +61,8 @@ class Tensor:
     is inherited by every value computed from them while grad mode is on.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -107,15 +108,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -435,14 +427,6 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64))
-
-
-def full(shape, fill: float) -> Tensor:
-    return Tensor(np.full(shape, fill, dtype=np.float64))
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -568,25 +552,25 @@ def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
     return res.reshape(t_out, c_out) if squeeze else res
 
 
-def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1,
-                     padding: int = 0) -> Tensor:
-    """Per-channel 1-D convolution: each channel is filtered independently.
+def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> Tensor:
+    """Per-channel stride-1 1-D convolution: each channel is filtered
+    independently.
 
     x: (B, T, C) or (T, C); weight: (K, C); bias: (C,).
     """
-    if stride < 1 or weight.data.shape[0] < 1:
-        raise ValueError("conv1d needs kernel >= 1 and stride >= 1")
+    if weight.data.shape[0] < 1:
+        raise ValueError("depthwise conv needs kernel >= 1")
     x3, squeeze = _lift_to_batch(x)
     k, c_w = weight.data.shape
     b, t, c = x3.data.shape
     if c != c_w:
         raise ValueError(f"depthwise conv channel mismatch: input has {c}, weight expects {c_w}")
-    t_out = (t + 2 * padding - k) // stride + 1
+    t_out = t + 2 * padding - k + 1
     if t_out <= 0:
         raise ValueError(
-            f"conv1d input too short: length {t} with kernel {k}, stride {stride}, padding {padding}")
+            f"conv1d input too short: length {t} with kernel {k}, padding {padding}")
     xp = np.pad(x3.data, ((0, 0), (padding, padding), (0, 0))) if padding else x3.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
     # windows: (B, T_out, C, K); out[b,t,c] = sum_k win[b,t,c,k] * w[k,c]
     out = np.einsum("btck,kc->btc", windows, weight.data)
     if bias is not None:
@@ -605,7 +589,7 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1,
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for kk in range(k):
-                dxp[:, kk:kk + t_out * stride:stride] += g3 * weight.data[kk]
+                dxp[:, kk:kk + t_out] += g3 * weight.data[kk]
             dx = dxp[:, padding:padding + t] if padding else dxp
             x._accum(dx.reshape(x.data.shape))
 

@@ -174,11 +174,14 @@ def config_metadata(cfg: ModelConfig) -> dict:
 
 
 def config_from_metadata(metadata: dict) -> ModelConfig:
-    kwargs = {}
-    for f in fields(ModelConfig):
-        key = f"config.{f.name}"
-        if key in metadata:
-            kwargs[f.name] = metadata[key]
+    """Rebuild the model configuration; a `config.*` key that names no
+    ModelConfig field (for example one of a removed option) is rejected."""
+    known = {f.name for f in fields(ModelConfig)}
+    kwargs = {key[len("config."):]: value for key, value in metadata.items()
+              if key.startswith("config.")}
+    unknown = sorted(set(kwargs) - known)
+    if unknown:
+        raise ValueError(f"checkpoint has unknown model config keys {unknown}")
     cfg = ModelConfig(**kwargs)
     stored = metadata.get("config_digest")
     if stored is not None and stored != config_digest(cfg):
@@ -287,6 +290,30 @@ def format_metric_line(step: int, lr: float, ce: float, ctc: float,
     return (f"step={step} lr={lr!r} ce={ce!r} ctc={ctc!r} total={total!r}")
 
 
+def _train_step(model: SpeechTranslator, opt: Adam, feats: np.ndarray, batch,
+                drop_rng: RngStream, lr: float, cfg: TrainConfig,
+                weights: LossWeights) -> tuple:
+    """One optimizer step on one batch; returns (ce, ctc, total) as floats.
+
+    The step's autodiff graph is referenced only from this frame, so it is
+    freed on return instead of staying alive through the next forward.
+    """
+    logits, enc = model.forward(Tensor(feats), batch.prefix, training=True,
+                                rng=drop_rng)
+    b, l_out = batch.targets.shape
+    ce = label_smoothed_ce(logits.reshape(b * l_out, model.cfg.vocab_size),
+                           batch.targets.reshape(-1), cfg.epsilon_ls)
+    ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
+                         batch.src_targets).mean()
+    total = multitask_loss(ce, ctc, weights)
+    model.zero_grad()
+    total.backward()
+    if cfg.clip_norm > 0:
+        clip_gradients(opt.named_params, cfg.clip_norm)
+    opt.step(lr)
+    return float(ce.data), float(ctc.data), float(total.data)
+
+
 def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
           out_dir=None, log=None, max_steps: int | None = None,
           start_epoch: int = 0) -> list:
@@ -316,7 +343,6 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
                                cfg.sa_time_masks, cfg.sa_time_fraction)
     opt = Adam(model.named_parameters())
     step = 0
-    vocab = model.cfg.vocab_size
     for epoch in range(start_epoch + 1, start_epoch + cfg.epochs + 1):
         batches = make_batches(usable, cfg.frame_budget,
                                root.child("batches", epoch))
@@ -329,22 +355,9 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
                     spec_augment(feats[i], policy,
                                  root.child("specaug", epoch, utt_id))
                     for i, utt_id in enumerate(batch.utt_ids)])
-            drop_rng = root.child("dropout", step)
-            logits, enc = model.forward(Tensor(feats), batch.prefix,
-                                        training=True, rng=drop_rng)
-            b, l_out = batch.targets.shape
-            ce = label_smoothed_ce(logits.reshape(b * l_out, vocab),
-                                   batch.targets.reshape(-1), cfg.epsilon_ls)
-            ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
-                                 batch.src_targets).mean()
-            total = multitask_loss(ce, ctc, weights)
-            model.zero_grad()
-            total.backward()
-            if cfg.clip_norm > 0:
-                clip_gradients(opt.named_params, cfg.clip_norm)
-            opt.step(lr)
-            emit(format_metric_line(step, lr, float(ce.data), float(ctc.data),
-                                    float(total.data)))
+            losses = _train_step(model, opt, feats, batch,
+                                 root.child("dropout", step), lr, cfg, weights)
+            emit(format_metric_line(step, lr, *losses))
             if max_steps is not None and step >= max_steps:
                 break
         if out_dir is not None:

@@ -131,7 +131,7 @@ class TestDecodeCommands:
                      "--manifest", str(workspace["corpus"] / "dev.tsv"),
                      "--subwords", str(workspace["prep"]),
                      "--beam", "2", "--out", str(single)]) == 0
-        assert main(["ensemble-decode", "--checkpoints"] + [ckpt] * 6
+        assert main(["decode", "--checkpoint"] + [ckpt] * 6
                     + ["--manifest", str(workspace["corpus"] / "dev.tsv"),
                        "--subwords", str(workspace["prep"]),
                        "--beam", "2", "--out", str(six)]) == 0

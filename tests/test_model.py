@@ -9,7 +9,7 @@ from tinyst.model import (Adaptor, ConformerBlock, DlclCombiner, Downsampler,
                           add_absolute_positions, causal_mask, downsampled_length,
                           relative_position_index, sinusoidal_positions)
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor, grad_check
+from tinyst.tensor import Tensor, grad_check, layer_norm
 from tinyst.text import BOS_ID
 
 
@@ -188,19 +188,25 @@ class TestTransformerLayer:
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
+def unit_norm_out(block):
+    """Zero every weight except norm_out's gain, which is set to 1, so the
+    block returns layer_norm of its residual stream."""
+    zero_params(block)
+    block.norm_out.gain.data[...] = 1.0
+
+
 class TestConformerBlock:
-    def test_zeroed_weights_are_identity_without_final_norm(self):
+    def test_zeroed_weights_give_norm_of_input(self):
         block = ConformerBlock(tiny_cfg(variant="conformer"), RngStream(11))
-        zero_params(block)
-        block.use_final_norm = False
+        unit_norm_out(block)
         x = Tensor(np.random.default_rng(8).normal(size=(1, 5, 8)))
-        np.testing.assert_array_equal(block(x).data, x.data)
+        want = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
+        np.testing.assert_array_equal(block(x).data, want)
 
     def test_first_ffn_contribution_is_halved(self):
         cfg = tiny_cfg(variant="conformer", ffn=8)
         block = ConformerBlock(cfg, RngStream(12))
-        zero_params(block)
-        block.use_final_norm = False
+        unit_norm_out(block)
         # identity-ish FFN1: lin1 embeds into the first 8 columns, lin2 reads
         # them back, so ffn1(y) == swish(y) and the residual should add half.
         block.norm_ffn1.gain.data[...] = 1.0
@@ -211,7 +217,8 @@ class TestConformerBlock:
         var = ((x - mu) ** 2).mean(-1, keepdims=True)
         normed = (x - mu) / np.sqrt(var + 1e-5)
         swish = normed / (1.0 + np.exp(-normed))
-        want = x + 0.5 * swish
+        want = layer_norm(Tensor(x + 0.5 * swish), Tensor(np.ones(8)),
+                          Tensor(np.zeros(8))).data
         got = block(Tensor(x)).data
         np.testing.assert_allclose(got, want, atol=1e-12)
 

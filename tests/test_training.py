@@ -2,14 +2,17 @@
 training loop's determinism."""
 
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tinyst import training
 from tinyst.data import Sample
 from tinyst.model import ModelConfig, SpeechTranslator
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor
+from tinyst.tensor import Tensor, no_grad
 from tinyst.text import encode, train_subwords
 from tinyst.toy import SYMBOLS, ToyTaskConfig, toy_mapping, toy_patterns, toy_utterance
 from tinyst.training import (
@@ -180,6 +183,18 @@ class TestConfigMetadata:
         with pytest.raises(ValueError, match="digest"):
             config_from_metadata(meta)
 
+    def test_removed_option_is_named_not_blamed_on_digest(self, tmp_path):
+        # A checkpoint written before `prenorm` was removed still carries it.
+        model = _tiny_model()
+        meta = {"step": 0, "epoch": 0, **config_metadata(model.cfg),
+                "config.prenorm": True}
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, [(n, p.data) for n, p in model.named_parameters()],
+                        meta)
+        with pytest.raises(ValueError, match="prenorm") as exc:
+            load_model(path)
+        assert "digest" not in str(exc.value)
+
     def test_digest_differs_across_configs(self):
         assert (config_digest(ModelConfig(vocab_size=31))
                 != config_digest(ModelConfig(vocab_size=32)))
@@ -204,6 +219,31 @@ class TestModelCheckpoint:
             # Values survive exactly at stored (float32) precision.
             np.testing.assert_array_equal(
                 p.data, orig[name].data.astype(np.float32).astype(np.float64))
+
+    def test_adaptor_mix_embeddings_through_whole_model(self, tmp_path):
+        cfg = ModelConfig(vocab_size=15, variant="sate", enc_layers=2,
+                          acoustic_layers=1, textual_layers=1, dec_layers=1,
+                          hidden=8, heads=2, ffn=16, conv_kernel=3,
+                          adaptor_mix_embeddings=True)
+        model = SpeechTranslator(cfg, RngStream(4))
+        path = tmp_path / "sate.ckpt"
+        save_model(path, model, step=1, epoch=1)
+        mixed, _ = load_model(path)
+        assert mixed.cfg.adaptor_mix_embeddings
+        plain = SpeechTranslator(replace(cfg, adaptor_mix_embeddings=False),
+                                 RngStream(0))
+        apply_entries(plain, load_checkpoint(path)[0])
+        # Round the original to the checkpoint's float32 storage precision.
+        for p in model.parameters():
+            p.data[...] = p.data.astype(np.float32)
+        feats = Tensor(np.random.default_rng(5).normal(size=(1, 24, 80)))
+        with no_grad():
+            want, got, off = (m.encode(feats) for m in (model, mixed, plain))
+        np.testing.assert_array_equal(got.memory.data, want.memory.data)
+        np.testing.assert_array_equal(got.ctc_logits.data, want.ctc_logits.data)
+        # The mix feeds only the textual stack: CTC logits come before it.
+        np.testing.assert_array_equal(off.ctc_logits.data, got.ctc_logits.data)
+        assert np.abs(off.memory.data - got.memory.data).max() > 1e-3
 
     def test_apply_entries_rejects_missing_and_extra(self, tmp_path):
         model = _tiny_model()
@@ -365,6 +405,26 @@ class TestTrainLoop:
         train(loaded, samples, TrainConfig(epochs=1, frame_budget=32),
               out_dir=tmp_path, start_epoch=2)
         assert (tmp_path / "epoch0003.ckpt").exists()
+
+    def test_step_graph_freed_before_next_forward(self, monkeypatch):
+        samples, _ = _toy_samples()
+        model = _tiny_model()
+        losses, alive_at_forward = [], []
+        real_loss, real_forward = training.multitask_loss, model.forward
+
+        def recording_loss(*args):
+            total = real_loss(*args)
+            losses.append(weakref.ref(total))
+            return total
+
+        def recording_forward(*args, **kwargs):
+            alive_at_forward.append([ref() is not None for ref in losses])
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "multitask_loss", recording_loss)
+        model.forward = recording_forward
+        train(model, samples, TrainConfig(epochs=1, frame_budget=32), max_steps=2)
+        assert alive_at_forward == [[], [False]]
 
     def test_training_changes_parameters(self):
         samples, _ = _toy_samples(n=6)
