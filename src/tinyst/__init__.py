@@ -13,7 +13,6 @@ from .audio import FrontendConfig, SpecAugmentPolicy, logmel, cmvn, spec_augment
 from .text import SubwordModel, Vocabulary, train_subwords, encode, decode
 from .losses import (
     CtcInfeasibleError,
-    LossWeights,
     ctc_loss,
     ctc_loss_batch,
     label_smoothed_ce,
@@ -57,7 +56,6 @@ __all__ = [
     "encode",
     "decode",
     "CtcInfeasibleError",
-    "LossWeights",
     "ctc_loss",
     "ctc_loss_batch",
     "label_smoothed_ce",

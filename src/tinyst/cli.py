@@ -4,8 +4,15 @@ data, train, average checkpoints, decode with one model or an ensemble
 
 Every command exits 0 on success and 1 with a one-line `error: ...`
 diagnostic on failure; argparse reports usage problems with exit code 2.
-Commands that train accept a flat `key = value` config file; explicit flags
-override file values, which override built-in defaults.
+
+The settings of `ModelConfig`, `TrainConfig`, `ToyTaskConfig` and
+`DecodeConfig` are declared only in those dataclasses.  Each field with a
+default becomes a flag (`enc_layers` -> `--enc-layers`) of its field's type,
+showing the field's default in `--help`; bool flags take true/false, yes/no
+or 1/0.  `train` and `finetune` also read a flat `key = value` config file
+whose keys are the field names, converted the same way.  Explicit flags
+override file values, which override the dataclass defaults.  `finetune`
+takes training keys only: the checkpoint fixes the architecture.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 from .audio import FrontendConfig, logmel, read_wav, save_features
 from .checks import ctc_oracle_sweep, op_gradcheck_sweep, tiny_multitask_gradcheck
-from .config import read_config
+from .config import format_value, read_config
 from .data import ManifestEntry, load_dataset, read_manifest, write_manifest
 from .decoding import (
     DecodeConfig,
@@ -26,7 +34,7 @@ from .decoding import (
     encode_for_decoding,
 )
 from .evaluation import corpus_bleu
-from .model import ModelConfig, SpeechTranslator
+from .model import VARIANTS, ModelConfig, SpeechTranslator
 from .rng import RngStream
 from .text import (
     decode as subword_decode,
@@ -45,8 +53,44 @@ from .training import (
     train,
 )
 
-MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+# A short description for each field whose name does not already say what
+# it sets.  A flag's type and shown default come from its dataclass field.
+FIELD_HELP = {
+    # ModelConfig
+    "variant": "encoder recipe: " + ", ".join(VARIANTS),
+    "enc_layers": "total encoder layers",
+    "acoustic_layers": "sate: layers before the CTC head",
+    "textual_layers": "sate: layers after the adaptor",
+    "ffn": "feed-forward width",
+    "dropout": "residual dropout",
+    "act_dropout": "feed-forward dropout",
+    "dlcl": "learned combination of layer outputs",
+    "rpe_enc_max": "encoder relative-offset clip",
+    "rpe_dec_max": "decoder relative-offset clip",
+    "conv_kernel": "conformer depthwise kernel",
+    "adaptor_mix_embeddings": "sate adaptor adds CTC-weighted embeddings",
+    # TrainConfig
+    "frame_budget": "max feature frames per batch",
+    "base_lr": "peak learning rate; finetune defaults to a tenth of it",
+    "clip_norm": "global gradient-norm clip, 0 disables",
+    "alpha": "CTC weight in the multitask loss",
+    "epsilon_ls": "label smoothing mass",
+    "sa_freq_masks": "SpecAugment frequency masks; 0 frequency and 0 time "
+                     "masks disable SpecAugment",
+    "sa_freq_width": "max width of each frequency mask",
+    "sa_time_masks": "SpecAugment time masks",
+    "sa_time_fraction": "max time-mask width as a fraction of the frames",
+    # ToyTaskConfig
+    "n_symbols": "alphabet size",
+    "min_len": "fewest symbols per utterance",
+    "max_len": "most symbols per utterance",
+    "identity_mapping": "translation repeats the transcript",
+    "reverse": "translation reverses the mapped sequence",
+    # DecodeConfig
+    "lennorm_beta": "length-normalization exponent",
+    "max_len_factor": "output length cap per encoder frame",
+    "extra_len": "tokens added to the output length cap",
+}
 
 
 def _bool_flag(text: str) -> bool:
@@ -58,85 +102,60 @@ def _bool_flag(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
-    g = p.add_argument_group("model", "architecture (defaults in parentheses)")
-    g.add_argument("--variant", choices=["baseline", "conformer", "conformer_rpe",
-                                         "sate"],
-                   help="encoder recipe (baseline)")
-    for name, help_text in [
-        ("enc-layers", "total encoder layers (12)"),
-        ("dec-layers", "decoder layers (6)"),
-        ("acoustic-layers", "sate: layers before the CTC head (8)"),
-        ("textual-layers", "sate: layers after the adaptor (4)"),
-        ("hidden", "model width (256)"),
-        ("heads", "attention heads (4)"),
-        ("ffn", "feed-forward width (2048)"),
-        ("rpe-enc-max", "encoder relative-offset clip (100)"),
-        ("rpe-dec-max", "decoder relative-offset clip (20)"),
-        ("conv-kernel", "conformer depthwise kernel (7)"),
-    ]:
-        g.add_argument(f"--{name}", type=int, help=help_text)
-    for name, help_text in [
-        ("dropout", "residual dropout (0.1)"),
-        ("attn-dropout", "attention dropout (0.1)"),
-        ("act-dropout", "feed-forward dropout (0.1)"),
-    ]:
-        g.add_argument(f"--{name}", type=float, help=help_text)
-    for name, help_text in [
-        ("dlcl", "learned combination of layer outputs (true)"),
-        ("adaptor-mix-embeddings", "adaptor adds CTC-weighted embeddings (false)"),
-    ]:
-        g.add_argument(f"--{name}", type=_bool_flag, metavar="BOOL", help=help_text)
+def _settings(cls) -> list:
+    """(field, type) for each field of a config dataclass a user sets.  A
+    field without a default (ModelConfig.vocab_size) is filled in by the
+    command."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls) if f.default is not MISSING]
 
 
-def _add_train_flags(p: argparse.ArgumentParser):
-    g = p.add_argument_group("training")
-    for name, typ, help_text in [
-        ("epochs", int, "training epochs (10)"),
-        ("frame-budget", int, "max feature frames per batch (4000)"),
-        ("seed", int, "root random seed (1)"),
-        ("base-lr", float, "peak learning rate (2e-3; finetune: 2e-4)"),
-        ("warmup-steps", int, "linear warmup length (400)"),
-        ("clip-norm", float, "global gradient-norm clip, 0 disables (0)"),
-        ("alpha", float, "CTC weight in the multitask loss (0.3)"),
-        ("epsilon-ls", float, "label smoothing mass (0.1)"),
-        ("sa-freq-masks", int, "SpecAugment frequency masks (2)"),
-        ("sa-freq-width", int, "max width of each frequency mask (8)"),
-        ("sa-time-masks", int, "SpecAugment time masks (2)"),
-        ("sa-time-fraction", float, "max time-mask width as a fraction (0.05)"),
-    ]:
-        g.add_argument(f"--{name}", type=typ, help=help_text)
-    g.add_argument("--use-spec-augment", type=_bool_flag, metavar="BOOL",
-                   help="mask features during training (true)")
-    g.add_argument("--max-steps", type=int, default=None,
-                   help="stop after this many optimizer steps")
+def _converter(typ):
+    return _bool_flag if typ is bool else typ
 
 
-def _config_values(args) -> dict:
+def _add_flags(p: argparse.ArgumentParser, cls):
+    g = p.add_argument_group(cls.__name__)
+    for f, typ in _settings(cls):
+        about = FIELD_HELP.get(f.name, "")
+        g.add_argument("--" + f.name.replace("_", "-"), type=_converter(typ),
+                       metavar=typ.__name__.upper(),
+                       help=f"{about} ({format_value(f.default)})".strip())
+
+
+def _config_file(args, classes) -> dict:
+    """The `--config` file's values for the fields of `classes`, each
+    converted as its flag would convert it."""
+    if not args.config:
+        return {}
+    types = {f.name: typ for cls in classes for f, typ in _settings(cls)}
+    raw = read_config(args.config)
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys {unknown}")
     values = {}
-    if getattr(args, "config", None):
-        values = read_config(args.config)
-        allowed = set(MODEL_KEYS) | set(TRAIN_KEYS)
-        unknown = sorted(set(values) - allowed)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys {unknown}")
+    for key, value in raw.items():
+        # read_config coerces each value; format_value turns it back into text.
+        text = format_value(value)
+        try:
+            values[key] = _converter(types[key])(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"{args.config}: {key} = {text} is not a valid "
+                             f"{types[key].__name__}") from None
     return values
 
 
-def _merged(args, names, file_values: dict) -> dict:
+def _merged(args, cls, file_values: dict) -> dict:
+    """Keyword arguments for `cls`: each field's flag if given, else its
+    config-file value; fields set by neither keep the dataclass default."""
     out = {}
-    for name in names:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            out[name] = flag
-        elif name in file_values:
-            out[name] = file_values[name]
+    for f, _ in _settings(cls):
+        value = getattr(args, f.name)
+        if value is None:
+            value = file_values.get(f.name)
+        if value is not None:
+            out[f.name] = value
     return out
-
-
-def _load_subword_dir(path: str):
-    return load_subwords(os.path.join(path, "vocab.txt"),
-                         os.path.join(path, "merges.txt"))
 
 
 def _check_vocab(model: SpeechTranslator, subwords, source: str):
@@ -149,12 +168,7 @@ def _check_vocab(model: SpeechTranslator, subwords, source: str):
 
 
 def cmd_toy_gen(args) -> int:
-    cfg = ToyTaskConfig(
-        n_symbols=args.n_symbols, min_len=args.min_len, max_len=args.max_len,
-        frames_per_token=args.frames_per_token, noise_std=args.noise_std,
-        identity_mapping=args.identity_mapping, reverse=args.reverse,
-        train_size=args.train_size, dev_size=args.dev_size,
-        test_size=args.test_size)
+    cfg = ToyTaskConfig(**_merged(args, ToyTaskConfig, {}))
     os.makedirs(args.out, exist_ok=True)
     paths = toy_generate(cfg, RngStream(args.seed), args.out)
     for split in ("train", "dev", "test"):
@@ -197,20 +211,14 @@ def cmd_prepare(args) -> int:
     corpus = ([normalize_for_ctc(e.transcript) for e in kept]
               + [e.translation for e in kept])
     subwords = train_subwords(corpus, args.vocab_size)
-    save_subwords(subwords, os.path.join(args.out, "vocab.txt"),
-                  os.path.join(args.out, "merges.txt"))
+    save_subwords(subwords, args.out)
     print(f"extracted={extracted} kept={len(kept)} "
           f"dropped={len(prepared) - len(kept)} vocab={len(subwords.vocab)}")
     print(f"manifest: {manifest_out}")
     return 0
 
 
-def _run_training(args, model, subwords, start_epoch: int, default_lr=None) -> int:
-    file_values = _config_values(args)
-    train_kwargs = _merged(args, TRAIN_KEYS, file_values)
-    if default_lr is not None and "base_lr" not in train_kwargs:
-        train_kwargs["base_lr"] = default_lr
-    cfg = TrainConfig(**train_kwargs)
+def _run_training(args, model, subwords, cfg: TrainConfig, start_epoch: int) -> int:
     samples = load_dataset(args.manifest, subwords)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.log")
@@ -226,23 +234,29 @@ def _run_training(args, model, subwords, start_epoch: int, default_lr=None) -> i
 
 
 def cmd_train(args) -> int:
-    subwords = _load_subword_dir(args.subwords)
-    file_values = _config_values(args)
-    model_kwargs = _merged(args, MODEL_KEYS, file_values)
-    cfg = ModelConfig(vocab_size=len(subwords.vocab), **model_kwargs)
-    model = SpeechTranslator(cfg, RngStream(_merged(args, ("seed",),
-                                                   file_values).get("seed", 1)))
-    return _run_training(args, model, subwords, start_epoch=0)
+    file_values = _config_file(args, (ModelConfig, TrainConfig))
+    cfg = TrainConfig(**_merged(args, TrainConfig, file_values))
+    subwords = load_subwords(args.subwords)
+    model_cfg = ModelConfig(vocab_size=len(subwords.vocab),
+                            **_merged(args, ModelConfig, file_values))
+    model = SpeechTranslator(model_cfg, RngStream(cfg.seed))
+    return _run_training(args, model, subwords, cfg, start_epoch=0)
 
 
 def cmd_finetune(args) -> int:
-    model, meta = load_model(args.checkpoint)
-    subwords = _load_subword_dir(args.subwords)
-    _check_vocab(model, subwords, args.checkpoint)
-    start_epoch = int(meta.get("epoch", 0))
+    file_values = _config_file(args, (ModelConfig, TrainConfig))
+    fixed = sorted(set(file_values) - {f.name for f in fields(TrainConfig)})
+    if fixed:
+        raise ValueError(f"{args.config}: model keys {fixed} cannot be set on "
+                         f"finetune; the checkpoint fixes the architecture")
     # Fine-tuning continues at a tenth of the usual peak rate.
-    return _run_training(args, model, subwords, start_epoch=start_epoch,
-                         default_lr=TrainConfig().base_lr / 10.0)
+    cfg = TrainConfig(**{"base_lr": TrainConfig.base_lr / 10.0,
+                         **_merged(args, TrainConfig, file_values)})
+    model, meta = load_model(args.checkpoint)
+    subwords = load_subwords(args.subwords)
+    _check_vocab(model, subwords, args.checkpoint)
+    return _run_training(args, model, subwords, cfg,
+                         start_epoch=int(meta.get("epoch", 0)))
 
 
 def cmd_average(args) -> int:
@@ -261,15 +275,13 @@ def cmd_average(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    cfg = DecodeConfig(**_merged(args, DecodeConfig, {}))
+    subwords = load_subwords(args.subwords)
     loaded = []
-    subwords = _load_subword_dir(args.subwords)
     for path in args.checkpoint:
         model, _ = load_model(path)
         _check_vocab(model, subwords, path)
         loaded.append(model)
-    cfg = DecodeConfig(beam=args.beam, lennorm_beta=args.lennorm_beta,
-                       max_len_factor=args.max_len_factor,
-                       extra_len=args.extra_len)
     samples = load_dataset(args.manifest, subwords, apply_length_filter=False)
     lines = []
     for sample in samples:
@@ -292,7 +304,7 @@ def _emit(lines, out_path):
 
 
 def cmd_ctc_decode(args) -> int:
-    subwords = _load_subword_dir(args.subwords)
+    subwords = load_subwords(args.subwords)
     model, _ = load_model(args.checkpoint)
     _check_vocab(model, subwords, args.checkpoint)
     samples = load_dataset(args.manifest, subwords, apply_length_filter=False)
@@ -370,18 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy-gen", help="generate the synthetic substitution task")
     p.add_argument("--out", required=True, help="output corpus directory")
     p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--train-size", type=int, default=2000)
-    p.add_argument("--dev-size", type=int, default=100)
-    p.add_argument("--test-size", type=int, default=100)
-    p.add_argument("--n-symbols", type=int, default=20)
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--frames-per-token", type=int, default=4)
-    p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--identity-mapping", action="store_true",
-                   help="translation repeats the transcript")
-    p.add_argument("--reverse", action="store_true",
-                   help="translation reverses the mapped sequence")
+    _add_flags(p, ToyTaskConfig)
     p.set_defaults(func=cmd_toy_gen)
 
     p = sub.add_parser("prepare",
@@ -399,8 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory holding vocab.txt and merges.txt")
     p.add_argument("--out", required=True, help="run directory for checkpoints")
     p.add_argument("--config", help="flat key = value settings file")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    p.add_argument("--max-steps", type=int,
+                   help="stop after this many optimizer steps")
+    _add_flags(p, ModelConfig)
+    _add_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune",
@@ -409,8 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--subwords", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="flat key = value settings file")
-    _add_train_flags(p)
+    p.add_argument("--config", help="flat key = value training settings file")
+    p.add_argument("--max-steps", type=int,
+                   help="stop after this many optimizer steps")
+    _add_flags(p, TrainConfig)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("average", help="average the final checkpoints of a run")
@@ -430,10 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subwords", required=True)
     p.add_argument("--out", help="write id<TAB>text<TAB>score lines here "
                                  "instead of stdout")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--lennorm-beta", type=float, default=1.0)
-    p.add_argument("--max-len-factor", type=float, default=1.0)
-    p.add_argument("--extra-len", type=int, default=10)
+    _add_flags(p, DecodeConfig)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("ctc-decode",

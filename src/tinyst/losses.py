@@ -10,8 +10,6 @@ finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import LOG_ZERO, Tensor, concat, stack
@@ -20,18 +18,6 @@ from .text import BLANK_ID, PAD_ID
 
 class CtcInfeasibleError(ValueError):
     """Raised when no alignment path of the given length can emit the target."""
-
-
-@dataclass
-class LossWeights:
-    alpha: float = 0.3
-    epsilon_ls: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.epsilon_ls < 1.0:
-            raise ValueError(f"epsilon_ls must be in [0, 1), got {self.epsilon_ls}")
 
 
 def ctc_min_frames(target) -> int:
@@ -148,9 +134,9 @@ def label_smoothed_ce(logits: Tensor, targets, epsilon_ls: float = 0.1,
     return -(per_token * keep.astype(np.float64)).sum() * (1.0 / n_keep)
 
 
-def multitask_loss(ce, ctc, weights: LossWeights):
+def multitask_loss(ce, ctc, alpha: float):
     """total = (1 - alpha) * ce + alpha * ctc."""
-    return ce * (1.0 - weights.alpha) + ctc * weights.alpha
+    return ce * (1.0 - alpha) + ctc * alpha
 
 
 def ctc_loss_brute_force(log_probs: np.ndarray, target, blank: int = BLANK_ID) -> float:

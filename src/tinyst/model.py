@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (LOG_ZERO, Tensor, concat, depthwise_conv1d, dropout, glu,
+from .tensor import (LOG_ZERO, Tensor, depthwise_conv1d, dropout, glu,
                      layer_norm, stack)
 from .tensor import conv1d as conv1d_op
 from .text import BOS_ID

@@ -8,6 +8,7 @@ symbols, so decoding is plain concatenation plus marker-to-space rewriting.
 
 from __future__ import annotations
 
+import os
 import unicodedata
 from dataclasses import dataclass
 
@@ -160,44 +161,30 @@ def decode(model: SubwordModel, ids) -> str:
     return "".join(surfaces).replace(WORD_END, " ").strip()
 
 
-def save_vocab(path, vocab: Vocabulary):
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in vocab.token_of:
-            fh.write(token + "\n")
+def save_subwords(model: SubwordModel, directory):
+    """Write `vocab.txt` (one token per line) and `merges.txt` (one pair per
+    line) into `directory`."""
+    with open(os.path.join(directory, "vocab.txt"), "w", encoding="utf-8") as fh:
+        fh.write("".join(token + "\n" for token in model.vocab.token_of))
+    with open(os.path.join(directory, "merges.txt"), "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{a} {b}\n" for a, b in model.merges))
 
 
-def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
+def load_subwords(directory) -> SubwordModel:
+    """Read the subword model that save_subwords wrote into `directory`."""
+    with open(os.path.join(directory, "vocab.txt"), encoding="utf-8") as fh:
         tokens = [line.rstrip("\n") for line in fh]
     while tokens and tokens[-1] == "":
         tokens.pop()
-    return Vocabulary(tokens)
-
-
-def save_merges(path, merges: list):
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b in merges:
-            fh.write(f"{a} {b}\n")
-
-
-def load_merges(path) -> list:
+    merges_path = os.path.join(directory, "merges.txt")
     merges = []
-    with open(path, encoding="utf-8") as fh:
+    with open(merges_path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split(" ")
             if len(parts) != 2:
-                raise ValueError(f"{path}:{n}: malformed merge line {line!r}")
+                raise ValueError(f"{merges_path}:{n}: malformed merge line {line!r}")
             merges.append((parts[0], parts[1]))
-    return merges
-
-
-def save_subwords(model: SubwordModel, vocab_path, merges_path):
-    save_vocab(vocab_path, model.vocab)
-    save_merges(merges_path, model.merges)
-
-
-def load_subwords(vocab_path, merges_path) -> SubwordModel:
-    return SubwordModel(load_merges(merges_path), load_vocab(vocab_path))
+    return SubwordModel(merges, Vocabulary(tokens))

@@ -24,7 +24,7 @@ import numpy as np
 from .audio import SpecAugmentPolicy, spec_augment
 from .config import coerce, format_value
 from .data import drop_ctc_infeasible, make_batches
-from .losses import LossWeights, ctc_loss_batch, label_smoothed_ce, multitask_loss
+from .losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
 from .model import ModelConfig, SpeechTranslator
 from .rng import RngStream
 from .tensor import Tensor
@@ -33,25 +33,13 @@ CHECKPOINT_MAGIC = b"STCK"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class ScheduleConfig:
-    base_lr: float = 2e-3
-    warmup_steps: int = 400
-
-    def __post_init__(self):
-        if self.warmup_steps < 1:
-            raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-
-
-def inverse_sqrt_lr(step: int, sched: ScheduleConfig) -> float:
+def inverse_sqrt_lr(step: int, cfg: TrainConfig) -> float:
     """Linear warmup to base_lr, then decay by sqrt(warmup/step)."""
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if step <= sched.warmup_steps:
-        return sched.base_lr * step / sched.warmup_steps
-    return sched.base_lr * math.sqrt(sched.warmup_steps / step)
+    if step <= cfg.warmup_steps:
+        return cfg.base_lr * step / cfg.warmup_steps
+    return cfg.base_lr * math.sqrt(cfg.warmup_steps / step)
 
 
 class Adam:
@@ -127,7 +115,10 @@ def save_checkpoint(path, named_arrays, metadata: dict):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (entries: name -> float32 array, metadata)."""
+    """Read a checkpoint; returns (entries: name -> float32 array, metadata).
+
+    A file cut short anywhere, or with bytes after its metadata block, is
+    rejected with its path."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
@@ -135,27 +126,32 @@ def load_checkpoint(path):
     version, count = struct.unpack_from("<II", data, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    view = memoryview(data)
     offset = 12
+
+    def take(n_bytes: int) -> memoryview:
+        nonlocal offset
+        if offset + n_bytes > len(data):
+            raise ValueError(f"{path}: truncated checkpoint")
+        offset += n_bytes
+        return view[offset - n_bytes:offset]
+
     entries = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}I", data, offset) if rank else ()
-        offset += 4 * rank
-        n_values = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f4", count=n_values, offset=offset)
-        offset += 4 * n_values
+        (name_len,) = struct.unpack("<H", take(2))
+        name = bytes(take(name_len)).decode("utf-8")
+        (rank,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
         if name in entries:
             raise ValueError(f"{path}: duplicate entry {name!r}")
         entries[name] = arr.reshape(shape).copy()
-    (meta_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    (meta_len,) = struct.unpack("<I", take(4))
+    meta_text = bytes(take(meta_len)).decode("utf-8")
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} bytes after the metadata")
     metadata = {}
-    for line in data[offset:offset + meta_len].decode("utf-8").splitlines():
+    for line in meta_text.splitlines():
         if line.strip():
             key, _, raw = line.partition("=")
             metadata[key.strip()] = coerce(raw)
@@ -245,6 +241,8 @@ def average_checkpoints(paths: list):
                 raise ValueError(f"{path}: incompatible with first checkpoint "
                                  f"(mismatched {sorted(mismatched)[:3]}, "
                                  f"missing {missing[:3]})")
+            if meta.get("config_digest") != base_meta.get("config_digest"):
+                raise ValueError(f"{path}: model config differs from {ordered[0]}")
         for n, a in entries.items():
             total[n] += a.astype(np.float64)
     averaged = {n: (t / len(ordered)).astype(np.float32) for n, t in total.items()}
@@ -266,6 +264,8 @@ def final_checkpoints(directory, window: int = 10) -> list:
 
 @dataclass
 class TrainConfig:
+    """Every training setting; SpecAugment is off when both mask counts are 0."""
+
     epochs: int = 10
     frame_budget: int = 4000
     seed: int = 1
@@ -274,15 +274,29 @@ class TrainConfig:
     clip_norm: float = 0.0
     alpha: float = 0.3
     epsilon_ls: float = 0.1
-    use_spec_augment: bool = True
     sa_freq_masks: int = 2
     sa_freq_width: int = 8
     sa_time_masks: int = 2
     sa_time_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name, low in (("epochs", 1), ("frame_budget", 1), ("seed", 0),
+                          ("warmup_steps", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if self.clip_norm < 0:
+            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not 0.0 <= self.epsilon_ls < 1.0:
+            raise ValueError(f"epsilon_ls must be in [0, 1), got {self.epsilon_ls}")
+        self.spec_augment_policy()  # SpecAugmentPolicy validates the sa_* fields
+
+    def spec_augment_policy(self) -> SpecAugmentPolicy:
+        return SpecAugmentPolicy(self.sa_freq_masks, self.sa_freq_width,
+                                 self.sa_time_masks, self.sa_time_fraction)
 
 
 def format_metric_line(step: int, lr: float, ce: float, ctc: float,
@@ -291,8 +305,7 @@ def format_metric_line(step: int, lr: float, ce: float, ctc: float,
 
 
 def _train_step(model: SpeechTranslator, opt: Adam, feats: np.ndarray, batch,
-                drop_rng: RngStream, lr: float, cfg: TrainConfig,
-                weights: LossWeights) -> tuple:
+                drop_rng: RngStream, lr: float, cfg: TrainConfig) -> tuple:
     """One optimizer step on one batch; returns (ce, ctc, total) as floats.
 
     The step's autodiff graph is referenced only from this frame, so it is
@@ -305,7 +318,7 @@ def _train_step(model: SpeechTranslator, opt: Adam, feats: np.ndarray, batch,
                            batch.targets.reshape(-1), cfg.epsilon_ls)
     ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
                          batch.src_targets).mean()
-    total = multitask_loss(ce, ctc, weights)
+    total = multitask_loss(ce, ctc, cfg.alpha)
     model.zero_grad()
     total.backward()
     if cfg.clip_norm > 0:
@@ -337,10 +350,7 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
     if dropped:
         emit(f"dropped={len(dropped)} ctc-infeasible samples")
     root = RngStream(cfg.seed)
-    sched = ScheduleConfig(cfg.base_lr, cfg.warmup_steps)
-    weights = LossWeights(cfg.alpha, cfg.epsilon_ls)
-    policy = SpecAugmentPolicy(cfg.sa_freq_masks, cfg.sa_freq_width,
-                               cfg.sa_time_masks, cfg.sa_time_fraction)
+    policy = cfg.spec_augment_policy()
     opt = Adam(model.named_parameters())
     step = 0
     for epoch in range(start_epoch + 1, start_epoch + cfg.epochs + 1):
@@ -348,15 +358,15 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
                                root.child("batches", epoch))
         for batch in batches:
             step += 1
-            lr = inverse_sqrt_lr(step, sched)
+            lr = inverse_sqrt_lr(step, cfg)
             feats = batch.features
-            if cfg.use_spec_augment:
+            if cfg.sa_freq_masks + cfg.sa_time_masks > 0:
                 feats = np.stack([
                     spec_augment(feats[i], policy,
                                  root.child("specaug", epoch, utt_id))
                     for i, utt_id in enumerate(batch.utt_ids)])
             losses = _train_step(model, opt, feats, batch,
-                                 root.child("dropout", step), lr, cfg, weights)
+                                 root.child("dropout", step), lr, cfg)
             emit(format_metric_line(step, lr, *losses))
             if max_steps is not None and step >= max_steps:
                 break

@@ -1,14 +1,26 @@
 """End-to-end smoke tests: every CLI command exercised on a small toy task."""
 
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from tinyst.audio import write_wav
 from tinyst.cli import main
-from tinyst.config import write_config
+from tinyst.config import format_value, write_config
 from tinyst.data import read_manifest, write_manifest, ManifestEntry
+from tinyst.decoding import DecodeConfig
+from tinyst.model import ModelConfig
 from tinyst.rng import RngStream
-from tinyst.training import load_model
+from tinyst.toy import ToyTaskConfig
+from tinyst.training import TrainConfig, load_model
+
+
+# A model small enough to train a step in well under a second.
+TINY_CONF = ("variant = baseline\nhidden = 8\nheads = 2\nffn = 16\n"
+             "enc_layers = 2\ndec_layers = 1\nconv_kernel = 3\n"
+             "epochs = 1\nframe_budget = 64\nwarmup_steps = 5\n")
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +89,8 @@ class TestTrainCommands:
         write_config(conf, {"variant": "baseline", "hidden": 8, "heads": 2,
                             "ffn": 16, "enc_layers": 2, "dec_layers": 1,
                             "conv_kernel": 3, "epochs": 1, "frame_budget": 64,
-                            "warmup_steps": 5, "use_spec_augment": False})
+                            "warmup_steps": 5, "sa_freq_masks": 0,
+                            "sa_time_masks": 0})
         out = tmp_path / "run"
         assert main(["train", "--manifest", str(workspace["prep"] / "train.tsv"),
                      "--subwords", str(workspace["prep"]), "--out", str(out),
@@ -95,6 +108,51 @@ class TestTrainCommands:
                      "--out", str(tmp_path / "x"), "--config", str(conf)])
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
+
+    def _train_with_config(self, workspace, tmp_path, text):
+        conf = tmp_path / "run.conf"
+        conf.write_text(TINY_CONF + text)
+        return main(["train", "--manifest", str(workspace["prep"] / "train.tsv"),
+                     "--subwords", str(workspace["prep"]),
+                     "--out", str(tmp_path / "run"), "--config", str(conf),
+                     "--max-steps", "1"])
+
+    @pytest.mark.parametrize("spelling, value", [("no", False), ("0", False),
+                                                 ("False", False), ("yes", True)])
+    def test_config_bool_spellings(self, workspace, tmp_path, spelling, value):
+        assert self._train_with_config(workspace, tmp_path,
+                                       f"dlcl = {spelling}\n") == 0
+        model, _ = load_model(tmp_path / "run" / "epoch0001.ckpt")
+        assert model.cfg.dlcl is value
+
+    def test_config_value_of_wrong_type_names_key_and_file(
+            self, workspace, tmp_path, capsys):
+        assert self._train_with_config(workspace, tmp_path, "hidden = 2.5\n") == 1
+        err = capsys.readouterr().err
+        assert "hidden = 2.5" in err and "run.conf" in err
+        assert "divisible" not in err
+
+    def test_bad_training_value_fails_before_data_loads(
+            self, workspace, tmp_path, capsys):
+        code = main(["train", "--manifest", str(tmp_path / "missing.tsv"),
+                     "--subwords", str(workspace["prep"]),
+                     "--out", str(tmp_path / "x"), "--warmup-steps", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "warmup_steps" in err and "missing.tsv" not in err
+
+    def test_finetune_rejects_model_keys(self, workspace, tmp_path, capsys):
+        conf = tmp_path / "ft.conf"
+        conf.write_text("hidden = 16\nepochs = 1\n")
+        code = main(["finetune", "--checkpoint",
+                     str(workspace["run"] / "epoch0002.ckpt"),
+                     "--manifest", str(workspace["prep"] / "train.tsv"),
+                     "--subwords", str(workspace["prep"]),
+                     "--out", str(tmp_path / "ft"), "--config", str(conf)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "hidden" in err and "checkpoint fixes the architecture" in err
+        assert not (tmp_path / "ft").exists()
 
     def test_finetune_resumes_epoch_numbering(self, workspace, tmp_path):
         out = tmp_path / "ft"
@@ -186,6 +244,26 @@ class TestCheckCommands:
         code = main(["ctc-oracle", "--trials", "1", "--threshold", "1e-20"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, cls", [
+        ("train", ModelConfig), ("train", TrainConfig),
+        ("finetune", TrainConfig), ("toy-gen", ToyTaskConfig),
+        ("decode", DecodeConfig)])
+    def test_every_field_is_a_flag_showing_its_default(self, command, cls,
+                                                       capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for f in fields(cls):
+            if f.name == "vocab_size":
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            # "--flag TYPE description (default)"
+            entry = re.search(rf"{flag} [A-Z]+ [^()]*\(([^()]*)\)", text)
+            assert entry and entry.group(1) == format_value(f.default), flag
 
 
 class TestExitCodes:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from tinyst.losses import (CtcInfeasibleError, LossWeights, ctc_feasible, ctc_loss,
+from tinyst.losses import (CtcInfeasibleError, ctc_feasible, ctc_loss,
                            ctc_loss_batch, ctc_loss_brute_force, ctc_min_frames,
                            label_smoothed_ce, multitask_loss)
 from tinyst.tensor import Tensor, grad_check
+from tinyst.training import TrainConfig
 
 
 def random_log_probs(rng, t, v):
@@ -169,20 +170,20 @@ class TestLabelSmoothedCe:
 
 class TestMultitask:
     def test_linear_combination(self):
-        total = multitask_loss(Tensor(2.0), Tensor(4.0), LossWeights(alpha=0.3))
+        total = multitask_loss(Tensor(2.0), Tensor(4.0), 0.3)
         np.testing.assert_allclose(total.data, 2.6, atol=1e-12)
 
     def test_degenerate_weights(self):
         ce, ctc = Tensor(1.25), Tensor(7.5)
-        assert multitask_loss(ce, ctc, LossWeights(alpha=0.0)).data == 1.25
-        assert multitask_loss(ce, ctc, LossWeights(alpha=1.0)).data == 7.5
+        assert multitask_loss(ce, ctc, 0.0).data == 1.25
+        assert multitask_loss(ce, ctc, 1.0).data == 7.5
 
     def test_default_weights(self):
-        w = LossWeights()
-        assert w.alpha == 0.3 and w.epsilon_ls == 0.1
+        cfg = TrainConfig()
+        assert cfg.alpha == 0.3 and cfg.epsilon_ls == 0.1
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
-            LossWeights(alpha=1.5)
+            TrainConfig(alpha=1.5)
         with pytest.raises(ValueError):
-            LossWeights(epsilon_ls=1.0)
+            TrainConfig(epsilon_ls=1.0)

@@ -403,13 +403,13 @@ class TestAdaptorAndParams:
         prefix = np.array([[BOS_ID, 5, 6]])
         targets = np.array([5, 6, 3])
 
-        from tinyst.losses import LossWeights, ctc_loss_batch, label_smoothed_ce, multitask_loss
+        from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
 
         def loss():
             logits, enc = model.forward(feats, prefix)
             ce = label_smoothed_ce(logits.reshape(3, 7), targets, 0.1)
             ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1), [[5, 6]]).sum()
-            return multitask_loss(ce, ctc, LossWeights())
+            return multitask_loss(ce, ctc, 0.3)
 
         picked = dict(model.named_parameters())
         subset = [picked["downsampler.w2"], picked["embed.table"],

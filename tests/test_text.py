@@ -138,8 +138,8 @@ class TestEncodeDecode:
         assert decode(model, ids) == "the fox"
 
     def test_file_roundtrip(self, model, tmp_path):
-        save_subwords(model, tmp_path / "vocab.txt", tmp_path / "merges.txt")
-        loaded = load_subwords(tmp_path / "vocab.txt", tmp_path / "merges.txt")
+        save_subwords(model, tmp_path)
+        loaded = load_subwords(tmp_path)
         assert loaded.vocab.token_of == model.vocab.token_of
         assert loaded.merges == model.merges
         s = "the quick dog"

@@ -17,7 +17,6 @@ from tinyst.text import encode, train_subwords
 from tinyst.toy import SYMBOLS, ToyTaskConfig, toy_mapping, toy_patterns, toy_utterance
 from tinyst.training import (
     Adam,
-    ScheduleConfig,
     TrainConfig,
     apply_entries,
     average_checkpoints,
@@ -37,18 +36,18 @@ from tinyst.training import (
 
 class TestSchedule:
     def test_warmup_is_linear(self):
-        sched = ScheduleConfig(base_lr=2e-3, warmup_steps=400)
+        sched = TrainConfig(base_lr=2e-3, warmup_steps=400)
         assert inverse_sqrt_lr(100, sched) == pytest.approx(2e-3 / 4)
         assert inverse_sqrt_lr(200, sched) == pytest.approx(2e-3 / 2)
         assert inverse_sqrt_lr(400, sched) == pytest.approx(2e-3)
 
     def test_decay_is_inverse_sqrt(self):
-        sched = ScheduleConfig(base_lr=2e-3, warmup_steps=400)
+        sched = TrainConfig(base_lr=2e-3, warmup_steps=400)
         assert inverse_sqrt_lr(1600, sched) == pytest.approx(1e-3)
         assert inverse_sqrt_lr(400 * 16, sched) == pytest.approx(2e-3 / 4)
 
     def test_peak_at_warmup_junction(self):
-        sched = ScheduleConfig(base_lr=2e-3, warmup_steps=400)
+        sched = TrainConfig(base_lr=2e-3, warmup_steps=400)
         lrs = [inverse_sqrt_lr(s, sched) for s in range(1, 2000)]
         assert max(lrs) == pytest.approx(2e-3)
         assert int(np.argmax(lrs)) + 1 == 400
@@ -57,13 +56,47 @@ class TestSchedule:
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
-            inverse_sqrt_lr(0, ScheduleConfig())
+            inverse_sqrt_lr(0, TrainConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(base_lr=0.0)
+            TrainConfig(base_lr=0.0)
         with pytest.raises(ValueError):
-            ScheduleConfig(warmup_steps=0)
+            TrainConfig(warmup_steps=0)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name, bad", [
+        ("epochs", 0), ("frame_budget", 0), ("seed", -1), ("warmup_steps", 0),
+        ("base_lr", 0.0), ("clip_norm", -1.0), ("alpha", 2.0),
+        ("epsilon_ls", 1.0)])
+    def test_bad_value_names_its_field(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name, bad", [
+        ("sa_freq_masks", -1), ("sa_freq_width", 81), ("sa_time_masks", -1),
+        ("sa_time_fraction", 1.5)])
+    def test_spec_augment_fields_validated_at_construction(self, name, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**{name: bad})
+
+    def test_spec_augment_runs_only_with_masks(self, monkeypatch):
+        samples, _ = _toy_samples()
+        calls = []
+
+        def recording(features, *args):
+            calls.append(features.shape)
+            return features
+
+        monkeypatch.setattr(training, "spec_augment", recording)
+        train(_tiny_model(), samples, TrainConfig(
+            epochs=1, frame_budget=32, sa_freq_masks=0, sa_time_masks=0),
+            max_steps=1)
+        assert calls == []
+        train(_tiny_model(), samples, TrainConfig(
+            epochs=1, frame_budget=32, sa_freq_masks=0), max_steps=1)
+        assert calls
 
 
 class TestAdam:
@@ -159,6 +192,25 @@ class TestCheckpointIO:
         path = tmp_path / "short.ckpt"
         path.write_bytes(b"STCK")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_every_truncation_is_rejected_with_the_path(self, tmp_path):
+        cfg = ModelConfig(vocab_size=15, enc_layers=1, dec_layers=1, hidden=4,
+                          heads=2, ffn=4, conv_kernel=3)
+        full = tmp_path / "full.ckpt"
+        save_model(full, SpeechTranslator(cfg, RngStream(0)), step=1, epoch=1)
+        data = full.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for length in range(len(data)):
+            cut.write_bytes(data[:length])
+            with pytest.raises(ValueError, match="cut.ckpt"):
+                load_checkpoint(cut)
+
+    def test_rejects_bytes_after_metadata(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(path, [("w", np.ones(2))], {"step": 1})
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(ValueError, match="long.ckpt"):
             load_checkpoint(path)
 
     def test_rejects_duplicate_entries(self, tmp_path):
@@ -311,6 +363,19 @@ class TestAveraging:
         self._write(b, {"w": np.zeros(4)})
         with pytest.raises(ValueError, match="incompatible"):
             average_checkpoints([a, b])
+
+    @pytest.mark.parametrize("change", [{"heads": 4},
+                                        {"adaptor_mix_embeddings": True}])
+    def test_different_model_configs_rejected(self, tmp_path, change):
+        # Same parameter names and shapes, different architecture.
+        model = _tiny_model()
+        other = SpeechTranslator(replace(model.cfg, **change), RngStream(1))
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_model(a, model, step=1, epoch=1)
+        save_model(b, other, step=1, epoch=1)
+        with pytest.raises(ValueError, match="config differs") as exc:
+            average_checkpoints([a, b])
+        assert "a.ckpt" in str(exc.value) and "b.ckpt" in str(exc.value)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
