@@ -9,7 +9,7 @@ gradient checks and brute-force oracles.
 
 from .tensor import Tensor, no_grad, grad_check
 from .rng import RngStream
-from .audio import FrontendConfig, SpecAugmentPolicy, logmel, cmvn, spec_augment
+from .audio import FrontendConfig, logmel, cmvn, spec_augment
 from .text import SubwordModel, Vocabulary, train_subwords, encode, decode
 from .losses import (
     CtcInfeasibleError,
@@ -46,7 +46,6 @@ __all__ = [
     "grad_check",
     "RngStream",
     "FrontendConfig",
-    "SpecAugmentPolicy",
     "logmel",
     "cmvn",
     "spec_augment",

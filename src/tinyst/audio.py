@@ -12,10 +12,14 @@ from __future__ import annotations
 import struct
 import wave
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 N_MELS = 80
 
@@ -130,34 +134,15 @@ def cmvn(features: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return (features - mu) / np.maximum(sd, eps)
 
 
-@dataclass
-class SpecAugmentPolicy:
-    """Counts and maximum extents for frequency and time masking."""
-
-    n_freq_masks: int = 2
-    max_freq_width: int = 8
-    n_time_masks: int = 2
-    max_time_fraction: float = 0.05
-
-    def __post_init__(self):
-        if not 0 <= self.max_freq_width <= N_MELS:
-            raise ValueError(f"max_freq_width must be in [0, {N_MELS}], "
-                             f"got {self.max_freq_width}")
-        if not 0.0 <= self.max_time_fraction <= 1.0:
-            raise ValueError(f"max_time_fraction must be in [0, 1], "
-                             f"got {self.max_time_fraction}")
-        if self.n_freq_masks < 0 or self.n_time_masks < 0:
-            raise ValueError("mask counts must be non-negative")
-
-
-def spec_augment(features: np.ndarray, policy: SpecAugmentPolicy, rng: RngStream,
+def spec_augment(features: np.ndarray, cfg: TrainConfig, rng: RngStream,
                  return_masks: bool = False):
     """Apply frequency and time masking to a copy of `features`.
 
-    Each frequency mask zeroes a contiguous band of u channels, u drawn
-    uniformly from {0..max_freq_width}; each time mask likewise spans u
-    frames with u up to max_time_fraction * frames.
-    Mask placement is uniform over positions that keep the band in bounds.
+    cfg.sa_freq_masks frequency masks each zero a contiguous band of u
+    channels, u drawn uniformly from {0..cfg.sa_freq_width}; cfg.sa_time_masks
+    time masks likewise span u frames with u up to cfg.sa_time_fraction *
+    frames.  Mask placement is uniform over positions that keep the band in
+    bounds.
 
     Returns the masked copy, or (copy, masks) with masks as a list of
     ("freq"|"time", start, width) rectangles when return_masks is set.
@@ -165,14 +150,14 @@ def spec_augment(features: np.ndarray, policy: SpecAugmentPolicy, rng: RngStream
     out = np.array(features, dtype=np.float64, copy=True)
     n_frames, n_chan = out.shape
     masks = []
-    for _ in range(policy.n_freq_masks):
-        width = int(rng.integers(0, policy.max_freq_width + 1))
+    for _ in range(cfg.sa_freq_masks):
+        width = int(rng.integers(0, cfg.sa_freq_width + 1))
         start = int(rng.integers(0, n_chan - width + 1))
         masks.append(("freq", start, width))
         if width:
             out[:, start:start + width] = 0.0
-    max_t = int(policy.max_time_fraction * n_frames)
-    for _ in range(policy.n_time_masks):
+    max_t = int(cfg.sa_time_fraction * n_frames)
+    for _ in range(cfg.sa_time_masks):
         width = int(rng.integers(0, max_t + 1))
         start = int(rng.integers(0, n_frames - width + 1))
         masks.append(("time", start, width))

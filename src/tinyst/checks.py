@@ -116,10 +116,10 @@ def tiny_multitask_gradcheck(eps: float = 1e-5, seed: int = 0) -> float:
     """Gradient-check every parameter of a tiny stacked-encoder model
     through the full multitask loss; returns the max relative error."""
     cfg = ModelConfig(vocab_size=7, variant="sate", enc_layers=3,
-                      acoustic_layers=2, textual_layers=1, dec_layers=1,
+                      acoustic_layers=2, dec_layers=1,
                       hidden=8, heads=2, ffn=16, conv_kernel=3,
                       rpe_enc_max=3, rpe_dec_max=2,
-                      dropout=0.0, attn_dropout=0.0, act_dropout=0.0)
+                      dropout=0.0)
     rng = RngStream(seed)
     model = SpeechTranslator(cfg, rng.child("init"))
     feats = Tensor(rng.child("feats").normal(0.0, 1.0, size=(1, 12, 80)))

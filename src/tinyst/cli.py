@@ -1,6 +1,8 @@
 """Command-line entry points for the full workflow: generate or prepare
 data, train, average checkpoints, decode with one model or an ensemble
 (`decode --checkpoint A [B ...]`), score, and run the numeric self-checks.
+`prepare` always drops utterances outside 5..3000 frames; `average` averages
+the last `--window` epoch checkpoints of `--run-dir`.
 
 Every command exits 0 on success and 1 with a one-line `error: ...`
 diagnostic on failure; argparse reports usage problems with exit code 2.
@@ -23,7 +25,8 @@ import sys
 from dataclasses import MISSING, fields
 from typing import get_type_hints
 
-from .audio import FrontendConfig, logmel, read_wav, save_features
+from .audio import (FrontendConfig, filter_utterances, logmel, read_wav,
+                    save_features)
 from .checks import ctc_oracle_sweep, op_gradcheck_sweep, tiny_multitask_gradcheck
 from .config import format_value, read_config
 from .data import ManifestEntry, load_dataset, read_manifest, write_manifest
@@ -59,12 +62,10 @@ FIELD_HELP = {
     # ModelConfig
     "variant": "encoder recipe: " + ", ".join(VARIANTS),
     "enc_layers": "total encoder layers",
-    "acoustic_layers": "sate: layers before the CTC head",
-    "textual_layers": "sate: layers after the adaptor",
+    "acoustic_layers": "sate: layers before the CTC head; the rest follow the "
+                       "adaptor",
     "ffn": "feed-forward width",
-    "dropout": "residual dropout",
-    "act_dropout": "feed-forward dropout",
-    "dlcl": "learned combination of layer outputs",
+    "dropout": "rate for every dropout in the model",
     "rpe_enc_max": "encoder relative-offset clip",
     "rpe_dec_max": "decoder relative-offset clip",
     "conv_kernel": "conformer depthwise kernel",
@@ -77,7 +78,7 @@ FIELD_HELP = {
     "epsilon_ls": "label smoothing mass",
     "sa_freq_masks": "SpecAugment frequency masks; 0 frequency and 0 time "
                      "masks disable SpecAugment",
-    "sa_freq_width": "max width of each frequency mask",
+    "sa_freq_width": "max width of each frequency mask, at most 80",
     "sa_time_masks": "SpecAugment time masks",
     "sa_time_fraction": "max time-mask width as a fraction of the frames",
     # ToyTaskConfig
@@ -202,10 +203,7 @@ def cmd_prepare(args) -> int:
         else:
             prepared.append(ManifestEntry(e.utt_id, src, e.n_frames,
                                           e.transcript, e.translation))
-    kept = prepared
-    if not args.no_filter:
-        from .audio import filter_utterances
-        kept = filter_utterances(prepared)
+    kept = filter_utterances(prepared)
     manifest_out = os.path.join(args.out, os.path.basename(args.manifest))
     write_manifest(manifest_out, kept)
     corpus = ([normalize_for_ctc(e.transcript) for e in kept]
@@ -260,14 +258,9 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_average(args) -> int:
-    if args.checkpoints:
-        paths = list(args.checkpoints)
-    else:
-        if not args.run_dir:
-            raise ValueError("pass --run-dir or an explicit checkpoint list")
-        paths = final_checkpoints(args.run_dir, window=args.window)
-        if not paths:
-            raise ValueError(f"no epoch checkpoints under {args.run_dir}")
+    paths = final_checkpoints(args.run_dir, window=args.window)
+    if not paths:
+        raise ValueError(f"no epoch checkpoints under {args.run_dir}")
     averaged, meta = average_checkpoints(paths)
     save_checkpoint(args.out, sorted(averaged.items()), meta)
     print(f"averaged {len(paths)} checkpoints -> {args.out}")
@@ -390,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int, default=1000)
-    p.add_argument("--no-filter", action="store_true",
-                   help="keep utterances outside 5..3000 frames")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model")
@@ -419,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("average", help="average the final checkpoints of a run")
-    p.add_argument("--run-dir", help="directory with epochNNNN.ckpt files")
-    p.add_argument("--checkpoints", nargs="+",
-                   help="explicit checkpoint list (overrides --run-dir)")
+    p.add_argument("--run-dir", required=True,
+                   help="directory with epochNNNN.ckpt files")
     p.add_argument("--window", type=int, default=10,
                    help="how many final checkpoints to average (10)")
     p.add_argument("--out", required=True)

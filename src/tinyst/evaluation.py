@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+MAX_N = 4
+
 
 def _ngram_counts(tokens: list, n: int) -> dict:
     counts = {}
@@ -20,7 +22,7 @@ def _ngram_counts(tokens: list, n: int) -> dict:
     return counts
 
 
-def corpus_bleu(hypotheses: list, references: list, max_n: int = 4) -> float:
+def corpus_bleu(hypotheses: list, references: list) -> float:
     """4-gram corpus BLEU x 100 with brevity penalty.
 
     Args:
@@ -35,8 +37,8 @@ def corpus_bleu(hypotheses: list, references: list, max_n: int = 4) -> float:
                          f"{len(references)} references")
     if not hypotheses:
         raise ValueError("BLEU needs at least one segment")
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -44,7 +46,7 @@ def corpus_bleu(hypotheses: list, references: list, max_n: int = 4) -> float:
         r = ref.split()
         hyp_len += len(h)
         ref_len += len(r)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             h_counts = _ngram_counts(h, n)
             r_counts = _ngram_counts(r, n)
             totals[n - 1] += max(len(h) - n + 1, 0)
@@ -53,11 +55,11 @@ def corpus_bleu(hypotheses: list, references: list, max_n: int = 4) -> float:
     if hyp_len == 0 or matches[0] == 0:
         return 0.0
     log_precision = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         m, t = matches[n - 1], totals[n - 1]
         if n >= 2 and m == 0:
             m, t = m + 1, t + 1
-        log_precision += math.log(m / t) / max_n
+        log_precision += math.log(m / t) / MAX_N
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_precision)
 

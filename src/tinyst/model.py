@@ -42,14 +42,10 @@ class ModelConfig:
     enc_layers: int = 12
     dec_layers: int = 6
     acoustic_layers: int = 8
-    textual_layers: int = 4
     hidden: int = 256
     heads: int = 4
     ffn: int = 2048
     dropout: float = 0.1
-    attn_dropout: float = 0.1
-    act_dropout: float = 0.1
-    dlcl: bool = True
     rpe_enc_max: int = 100
     rpe_dec_max: int = 20
     conv_kernel: int = 7
@@ -61,22 +57,23 @@ class ModelConfig:
         if self.vocab_size < 6:
             raise ValueError(f"vocab_size must cover the 5 specials plus content, "
                              f"got {self.vocab_size}")
+        for name in ("enc_layers", "dec_layers", "hidden", "heads", "ffn",
+                     "rpe_enc_max", "rpe_dec_max", "conv_kernel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.hidden % self.heads:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.hidden % 2:
             raise ValueError(f"hidden must be even for sinusoidal positions, "
                              f"got {self.hidden}")
-        if self.variant == "sate":
-            if self.acoustic_layers < 1 or self.textual_layers < 1:
-                raise ValueError("sate needs at least one acoustic and one textual layer")
-            if self.acoustic_layers + self.textual_layers != self.enc_layers:
-                raise ValueError(
-                    f"acoustic_layers + textual_layers must equal enc_layers: "
-                    f"{self.acoustic_layers}+{self.textual_layers} != {self.enc_layers}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.conv_kernel % 2 == 0:
             raise ValueError(f"conv_kernel must be odd, got {self.conv_kernel}")
-        if min(self.rpe_enc_max, self.rpe_dec_max) < 1:
-            raise ValueError("relative position clip radii must be >= 1")
+        # sate runs acoustic_layers below its CTC head and the rest above it.
+        if self.variant == "sate" and not 1 <= self.acoustic_layers < self.enc_layers:
+            raise ValueError(f"sate needs acoustic_layers in [1, enc_layers), got "
+                             f"{self.acoustic_layers} of {self.enc_layers}")
 
     @property
     def uses_conformer(self) -> bool:
@@ -195,10 +192,10 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, hidden: int, heads: int, rng: RngStream,
-                 attn_dropout: float = 0.0, max_rel: int | None = None):
+                 drop: float = 0.0, max_rel: int | None = None):
         self.heads = heads
         self.d_head = hidden // heads
-        self.attn_dropout = attn_dropout
+        self.drop = drop
         self.max_rel = max_rel
         self.wq = Linear(hidden, hidden, rng.child("wq"))
         self.wk = Linear(hidden, hidden, rng.child("wk"))
@@ -236,7 +233,7 @@ class MultiHeadAttention(Module):
         if causal:
             scores = scores + Tensor(causal_mask(tq))
         attn = scores.softmax(axis=-1)
-        attn = dropout(attn, self.attn_dropout, rng, training)
+        attn = dropout(attn, self.drop, rng, training)
         ctx = attn @ v
         if self.max_rel is not None:
             idx = relative_position_index(tq, tk, self.max_rel)
@@ -250,17 +247,17 @@ class MultiHeadAttention(Module):
 
 class FeedForward(Module):
     def __init__(self, hidden: int, ffn: int, rng: RngStream,
-                 act_dropout: float = 0.0, activation: str = "relu"):
+                 drop: float = 0.0, activation: str = "relu"):
         self.lin1 = Linear(hidden, ffn, rng.child("lin1"))
         self.lin2 = Linear(ffn, hidden, rng.child("lin2"))
-        self.act_dropout = act_dropout
+        self.drop = drop
         self.activation = activation
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: RngStream | None = None) -> Tensor:
         h = self.lin1(x)
         h = h.swish() if self.activation == "swish" else h.relu()
-        h = dropout(h, self.act_dropout, rng, training)
+        h = dropout(h, self.drop, rng, training)
         return self.lin2(h)
 
 
@@ -272,8 +269,8 @@ class TransformerEncoderLayer(Module):
         self.norm1 = LayerNorm(cfg.hidden)
         self.norm2 = LayerNorm(cfg.hidden)
         self.attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng.child("attn"),
-                                       cfg.attn_dropout, max_rel)
-        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"), cfg.act_dropout)
+                                       cfg.dropout, max_rel)
+        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"), cfg.dropout)
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: RngStream | None = None) -> Tensor:
@@ -315,16 +312,16 @@ class ConformerBlock(Module):
         self.drop = cfg.dropout
         self.norm_ffn1 = LayerNorm(cfg.hidden)
         self.ffn1 = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn1"),
-                                cfg.act_dropout, activation="swish")
+                                cfg.dropout, activation="swish")
         self.norm_attn = LayerNorm(cfg.hidden)
         self.attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng.child("attn"),
-                                       cfg.attn_dropout, max_rel)
+                                       cfg.dropout, max_rel)
         self.norm_conv = LayerNorm(cfg.hidden)
         self.conv = ConvModule(cfg.hidden, cfg.conv_kernel, rng.child("conv"),
                                cfg.dropout)
         self.norm_ffn2 = LayerNorm(cfg.hidden)
         self.ffn2 = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn2"),
-                                cfg.act_dropout, activation="swish")
+                                cfg.dropout, activation="swish")
         self.norm_out = LayerNorm(cfg.hidden)
 
     def __call__(self, x: Tensor, training: bool = False,
@@ -355,9 +352,6 @@ class DlclCombiner(Module):
             w[r, :r + 1] = 1.0 / (r + 1)
         self.weights = Tensor(w, requires_grad=True)
         self.norms = [LayerNorm(hidden) for _ in range(n_layers + 1)]
-
-    def normalize(self, depth: int, x: Tensor) -> Tensor:
-        return self.norms[depth](x)
 
     def combine(self, normed_outputs: list, row: int) -> Tensor:
         w = self.weights[row, :row + 1].reshape(row + 1, 1, 1, 1)
@@ -411,29 +405,22 @@ class EncoderOutput:
 
 
 class _EncoderStack(Module):
-    """A run of encoder blocks with optional DLCL wiring."""
+    """A run of encoder blocks wired by DLCL: each block reads, and the stack
+    returns, a learned mix of the normalized outputs before it."""
 
     def __init__(self, cfg: ModelConfig, n_layers: int, rng: RngStream,
                  conformer: bool, max_rel: int | None):
         make = ConformerBlock if conformer else TransformerEncoderLayer
         self.blocks = [make(cfg, rng.child("block", i), max_rel)
                        for i in range(n_layers)]
-        self.dlcl = DlclCombiner(n_layers, cfg.hidden) if cfg.dlcl else None
-        # Plain sequential pre-norm transformer stacks need a closing norm;
-        # conformer blocks and DLCL combinations already end normalized.
-        self.final_norm = (LayerNorm(cfg.hidden)
-                           if not cfg.dlcl and not conformer else None)
+        self.dlcl = DlclCombiner(n_layers, cfg.hidden)
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: RngStream | None = None) -> Tensor:
-        if self.dlcl is None:
-            for block in self.blocks:
-                x = block(x, training, rng)
-            return self.final_norm(x) if self.final_norm is not None else x
-        normed = [self.dlcl.normalize(0, x)]
+        normed = [self.dlcl.norms[0](x)]
         for i, block in enumerate(self.blocks):
             y = block(self.dlcl.combine(normed, i), training, rng)
-            normed.append(self.dlcl.normalize(i + 1, y))
+            normed.append(self.dlcl.norms[i + 1](y))
         return self.dlcl.combine(normed, len(self.blocks))
 
 
@@ -445,11 +432,11 @@ class TransformerDecoderLayer(Module):
         self.norm3 = LayerNorm(cfg.hidden)
         self.self_attn = MultiHeadAttention(cfg.hidden, cfg.heads,
                                             rng.child("self_attn"),
-                                            cfg.attn_dropout, max_rel)
+                                            cfg.dropout, max_rel)
         self.cross_attn = MultiHeadAttention(cfg.hidden, cfg.heads,
                                              rng.child("cross_attn"),
-                                             cfg.attn_dropout)
-        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"), cfg.act_dropout)
+                                             cfg.dropout)
+        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"), cfg.dropout)
 
     def __call__(self, x: Tensor, memory: Tensor, training: bool = False,
                  rng: RngStream | None = None) -> Tensor:
@@ -476,7 +463,7 @@ class SpeechTranslator(Module):
             self.acoustic = _EncoderStack(cfg, cfg.acoustic_layers,
                                           rng.child("acoustic"),
                                           conformer=True, max_rel=enc_rel)
-            self.textual = _EncoderStack(cfg, cfg.textual_layers,
+            self.textual = _EncoderStack(cfg, cfg.enc_layers - cfg.acoustic_layers,
                                          rng.child("textual"),
                                          conformer=False, max_rel=enc_rel)
             self.adaptor = Adaptor(cfg.hidden, rng.child("adaptor"),

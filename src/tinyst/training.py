@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import SpecAugmentPolicy, spec_augment
+from .audio import N_MELS, spec_augment
 from .config import coerce, format_value
 from .data import drop_ctc_infeasible, make_batches
 from .losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
@@ -49,17 +49,17 @@ class Adam:
     is the only runtime signal worth more than the update itself.
     """
 
-    def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.98,
-                 eps: float = 1e-9):
+    BETA1, BETA2, EPS = 0.9, 0.98, 1e-9
+
+    def __init__(self, named_params):
         self.named_params = list(named_params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for _, p in self.named_params]
         self.v = [np.zeros_like(p.data) for _, p in self.named_params]
 
     def step(self, lr: float):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         correct1 = 1.0 - b1 ** self.step_count
         correct2 = 1.0 - b2 ** self.step_count
         for i, (name, p) in enumerate(self.named_params):
@@ -72,7 +72,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / correct1
             v_hat = self.v[i] / correct2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def clip_gradients(named_params, max_norm: float) -> float:
@@ -99,7 +99,7 @@ def save_checkpoint(path, named_arrays, metadata: dict):
     items = list(named_arrays)
     blob = [struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(items))]
     for name, arr in items:
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr, dtype="<f4")  # 0-d stays 0-d; tobytes() is C order
         encoded = name.encode("utf-8")
         blob.append(struct.pack("<H", len(encoded)))
         blob.append(encoded)
@@ -281,7 +281,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("frame_budget", 1), ("seed", 0),
-                          ("warmup_steps", 1)):
+                          ("warmup_steps", 1), ("sa_freq_masks", 0),
+                          ("sa_time_masks", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.base_lr <= 0:
@@ -292,11 +293,12 @@ class TrainConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.epsilon_ls < 1.0:
             raise ValueError(f"epsilon_ls must be in [0, 1), got {self.epsilon_ls}")
-        self.spec_augment_policy()  # SpecAugmentPolicy validates the sa_* fields
-
-    def spec_augment_policy(self) -> SpecAugmentPolicy:
-        return SpecAugmentPolicy(self.sa_freq_masks, self.sa_freq_width,
-                                 self.sa_time_masks, self.sa_time_fraction)
+        if not 0 <= self.sa_freq_width <= N_MELS:
+            raise ValueError(f"sa_freq_width must be in [0, {N_MELS}], "
+                             f"got {self.sa_freq_width}")
+        if not 0.0 <= self.sa_time_fraction <= 1.0:
+            raise ValueError(f"sa_time_fraction must be in [0, 1], "
+                             f"got {self.sa_time_fraction}")
 
 
 def format_metric_line(step: int, lr: float, ce: float, ctc: float,
@@ -350,7 +352,6 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
     if dropped:
         emit(f"dropped={len(dropped)} ctc-infeasible samples")
     root = RngStream(cfg.seed)
-    policy = cfg.spec_augment_policy()
     opt = Adam(model.named_parameters())
     step = 0
     for epoch in range(start_epoch + 1, start_epoch + cfg.epochs + 1):
@@ -362,7 +363,7 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
             feats = batch.features
             if cfg.sa_freq_masks + cfg.sa_time_masks > 0:
                 feats = np.stack([
-                    spec_augment(feats[i], policy,
+                    spec_augment(feats[i], cfg,
                                  root.child("specaug", epoch, utt_id))
                     for i, utt_id in enumerate(batch.utt_ids)])
             losses = _train_step(model, opt, feats, batch,

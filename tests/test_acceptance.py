@@ -151,7 +151,7 @@ def test_toy_convergence(capsys, workspace, baseline):
 
 def test_sate_multitask(capsys, workspace):
     model, _ = _train_toy(workspace, "sate", hidden=64, ffn=256, epochs=25,
-                          acoustic_layers=3, textual_layers=1)
+                          acoustic_layers=3)
     hyps, ctc_hyps = [], []
     for s in workspace.dev_samples:
         enc = encode_for_decoding(model, s.features)
@@ -172,7 +172,7 @@ def test_ablation_ladder(capsys, workspace):
     for variant in ("baseline", "conformer", "conformer_rpe", "sate"):
         cfg = ModelConfig(vocab_size=len(workspace.subwords.vocab),
                           variant=variant, enc_layers=4, acoustic_layers=3,
-                          textual_layers=1, dec_layers=2, hidden=32, heads=4,
+                          dec_layers=2, hidden=32, heads=4,
                           ffn=128, conv_kernel=3)
         model = SpeechTranslator(cfg, RngStream(1))
         lines = train(model, workspace.train_samples,

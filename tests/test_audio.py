@@ -5,10 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tinyst.audio import (FrontendConfig, SpecAugmentPolicy, cmvn, filter_center_hz,
+from tinyst.audio import (FrontendConfig, cmvn, filter_center_hz,
                           filter_utterances, load_features, logmel, read_wav,
                           save_features, spec_augment, write_wav)
 from tinyst.rng import RngStream
+from tinyst.training import TrainConfig
 
 
 @dataclass
@@ -93,24 +94,24 @@ class TestCmvn:
 class TestSpecAugment:
     def test_zero_widths_are_identity(self):
         feats = np.random.default_rng(5).normal(size=(40, 80))
-        policy = SpecAugmentPolicy(max_freq_width=0, max_time_fraction=0.0)
-        out = spec_augment(feats, policy, RngStream(0))
+        cfg = TrainConfig(sa_freq_width=0, sa_time_fraction=0.0)
+        out = spec_augment(feats, cfg, RngStream(0))
         np.testing.assert_array_equal(out, feats)
 
     def test_same_seed_same_masks(self):
         feats = np.random.default_rng(6).normal(size=(60, 80))
-        policy = SpecAugmentPolicy()
-        a = spec_augment(feats, policy, RngStream(9))
-        b = spec_augment(feats, policy, RngStream(9))
+        cfg = TrainConfig()
+        a = spec_augment(feats, cfg, RngStream(9))
+        b = spec_augment(feats, cfg, RngStream(9))
         np.testing.assert_array_equal(a, b)
 
     def test_shape_preserved_and_changes_confined_to_masks(self):
         rng = np.random.default_rng(7)
-        policy = SpecAugmentPolicy(n_freq_masks=2, max_freq_width=8,
-                                   n_time_masks=2, max_time_fraction=0.1)
+        cfg = TrainConfig(sa_freq_masks=2, sa_freq_width=8,
+                          sa_time_masks=2, sa_time_fraction=0.1)
         for trial in range(50):
             feats = rng.normal(size=(int(rng.integers(20, 120)), 80)) + 5.0
-            out, masks = spec_augment(feats, policy, RngStream(trial),
+            out, masks = spec_augment(feats, cfg, RngStream(trial),
                                       return_masks=True)
             assert out.shape == feats.shape
             inside = np.zeros(feats.shape, dtype=bool)
@@ -125,18 +126,11 @@ class TestSpecAugment:
 
     def test_freq_mask_budget(self):
         feats = np.random.default_rng(8).normal(size=(30, 80)) + 10.0
-        policy = SpecAugmentPolicy(n_freq_masks=2, max_freq_width=8,
-                                   n_time_masks=0)
+        cfg = TrainConfig(sa_freq_masks=2, sa_freq_width=8, sa_time_masks=0)
         for trial in range(100):
-            out = spec_augment(feats, policy, RngStream(trial))
+            out = spec_augment(feats, cfg, RngStream(trial))
             masked_channels = int((out == 0.0).all(axis=0).sum())
             assert masked_channels <= 16
-
-    def test_rejects_invalid_policy(self):
-        with pytest.raises(ValueError):
-            SpecAugmentPolicy(max_freq_width=81)
-        with pytest.raises(ValueError):
-            SpecAugmentPolicy(max_time_fraction=1.5)
 
 
 class TestFilterUtterances:

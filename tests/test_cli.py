@@ -1,18 +1,22 @@
 """End-to-end smoke tests: every CLI command exercised on a small toy task."""
 
 import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tinyst.audio import write_wav
-from tinyst.cli import main
+from tinyst.cli import build_parser, main
 from tinyst.config import format_value, write_config
 from tinyst.data import read_manifest, write_manifest, ManifestEntry
 from tinyst.decoding import DecodeConfig
+from tinyst.evaluation import corpus_bleu
 from tinyst.model import ModelConfig
 from tinyst.rng import RngStream
+from tinyst.text import normalize_for_ctc
 from tinyst.toy import ToyTaskConfig
 from tinyst.training import TrainConfig, load_model
 
@@ -120,10 +124,10 @@ class TestTrainCommands:
     @pytest.mark.parametrize("spelling, value", [("no", False), ("0", False),
                                                  ("False", False), ("yes", True)])
     def test_config_bool_spellings(self, workspace, tmp_path, spelling, value):
-        assert self._train_with_config(workspace, tmp_path,
-                                       f"dlcl = {spelling}\n") == 0
+        assert self._train_with_config(
+            workspace, tmp_path, f"adaptor_mix_embeddings = {spelling}\n") == 0
         model, _ = load_model(tmp_path / "run" / "epoch0001.ckpt")
-        assert model.cfg.dlcl is value
+        assert model.cfg.adaptor_mix_embeddings is value
 
     def test_config_value_of_wrong_type_names_key_and_file(
             self, workspace, tmp_path, capsys):
@@ -134,12 +138,14 @@ class TestTrainCommands:
 
     def test_bad_training_value_fails_before_data_loads(
             self, workspace, tmp_path, capsys):
-        code = main(["train", "--manifest", str(tmp_path / "missing.tsv"),
-                     "--subwords", str(workspace["prep"]),
-                     "--out", str(tmp_path / "x"), "--warmup-steps", "0"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "warmup_steps" in err and "missing.tsv" not in err
+        for flag, value, name in (("--warmup-steps", "0", "warmup_steps"),
+                                  ("--sa-freq-masks", "-1", "sa_freq_masks")):
+            code = main(["train", "--manifest", str(tmp_path / "missing.tsv"),
+                         "--subwords", str(workspace["prep"]),
+                         "--out", str(tmp_path / "x"), flag, value])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert name in err and "missing.tsv" not in err
 
     def test_finetune_rejects_model_keys(self, workspace, tmp_path, capsys):
         conf = tmp_path / "ft.conf"
@@ -219,6 +225,22 @@ class TestDecodeCommands:
                      "--ref", str(workspace["corpus"] / "dev.tsv")]) == 0
         assert "BLEU = 100.00" in capsys.readouterr().out
 
+    def test_bleu_scores_ctc_output_against_transcripts(self, workspace, tmp_path,
+                                                        capsys):
+        ctc = tmp_path / "dev.ctc"
+        dev = workspace["corpus"] / "dev.tsv"
+        assert main(["ctc-decode", "--checkpoint",
+                     str(workspace["run"] / "epoch0002.ckpt"),
+                     "--manifest", str(dev), "--subwords", str(workspace["prep"]),
+                     "--out", str(ctc)]) == 0
+        capsys.readouterr()
+        assert main(["bleu", "--hyp", str(ctc), "--ref", str(dev),
+                     "--field", "transcript"]) == 0
+        hyps = [line.split("\t")[1] for line in ctc.read_text().splitlines()]
+        refs = [normalize_for_ctc(e.transcript) for e in read_manifest(dev)]
+        want = corpus_bleu(hyps, refs)
+        assert capsys.readouterr().out == f"BLEU = {want:.2f}\n"
+
     def test_bleu_missing_hypothesis_fails(self, workspace, tmp_path, capsys):
         hyp = tmp_path / "partial.hyp"
         hyp.write_text("dev-00000\tsome text\t0.0\n")
@@ -264,6 +286,26 @@ class TestFlags:
             # "--flag TYPE description (default)"
             entry = re.search(rf"{flag} [A-Z]+ [^()]*\(([^()]*)\)", text)
             assert entry and entry.group(1) == format_value(f.default), flag
+
+
+def readme_commands() -> list:
+    """Every `tinyst ...` line of README.md's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("tinyst "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+class TestReadme:
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        assert len(commands) >= 8
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)  # exits 2 on an unknown flag
 
 
 class TestExitCodes:

@@ -15,8 +15,8 @@ from tinyst.text import BOS_ID
 
 def tiny_cfg(**kw):
     base = dict(vocab_size=7, variant="baseline", enc_layers=2, dec_layers=1,
-                acoustic_layers=1, textual_layers=1, hidden=8, heads=2, ffn=16,
-                dropout=0.0, attn_dropout=0.0, act_dropout=0.0, conv_kernel=3,
+                acoustic_layers=1, hidden=8, heads=2, ffn=16,
+                dropout=0.0, conv_kernel=3,
                 rpe_enc_max=4, rpe_dec_max=3)
     base.update(kw)
     return ModelConfig(**base)
@@ -36,10 +36,15 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="divisible"):
             tiny_cfg(hidden=9, heads=2)
 
-    def test_sate_layer_split_must_sum(self):
-        with pytest.raises(ValueError, match="acoustic_layers"):
-            tiny_cfg(variant="sate", enc_layers=4, acoustic_layers=1,
-                     textual_layers=1)
+    @pytest.mark.parametrize("name, bad", [
+        ("vocab_size", 5), ("enc_layers", 0), ("dec_layers", 0), ("hidden", -4),
+        ("heads", 0), ("ffn", 0), ("dropout", 1.5), ("dropout", -0.1),
+        ("rpe_enc_max", 0), ("rpe_dec_max", 0), ("conv_kernel", 0),
+        ("acoustic_layers", 0), ("acoustic_layers", 2)])
+    def test_bad_value_names_its_field(self, name, bad):
+        # sate, so that acoustic_layers must leave a textual layer of the 2.
+        with pytest.raises(ValueError, match=name):
+            tiny_cfg(variant="sate", **{name: bad})
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):

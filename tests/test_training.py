@@ -69,7 +69,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("name, bad", [
         ("epochs", 0), ("frame_budget", 0), ("seed", -1), ("warmup_steps", 0),
         ("base_lr", 0.0), ("clip_norm", -1.0), ("alpha", 2.0),
-        ("epsilon_ls", 1.0)])
+        ("epsilon_ls", 1.0), ("sa_freq_masks", -1), ("sa_freq_width", 99)])
     def test_bad_value_names_its_field(self, name, bad):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: bad})
@@ -78,7 +78,7 @@ class TestTrainConfig:
         ("sa_freq_masks", -1), ("sa_freq_width", 81), ("sa_time_masks", -1),
         ("sa_time_fraction", 1.5)])
     def test_spec_augment_fields_validated_at_construction(self, name, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: bad})
 
     def test_spec_augment_runs_only_with_masks(self, monkeypatch):
@@ -138,6 +138,11 @@ class TestAdam:
         assert abs(p.data[0]) < 0.1
 
 
+def _global_norm(named_params) -> float:
+    return math.sqrt(sum(float((p.grad ** 2).sum()) for _, p in named_params
+                         if p.grad is not None))
+
+
 class TestClip:
     def test_clips_global_norm(self):
         a = Tensor(np.zeros(1), requires_grad=True)
@@ -145,22 +150,23 @@ class TestClip:
         a.grad = np.array([3.0])
         b.grad = np.array([4.0])
         norm = clip_gradients([("a", a), ("b", b)], max_norm=1.0)
-        assert norm == pytest.approx(5.0)
+        assert norm == 5.0
         np.testing.assert_allclose(a.grad, [0.6])
         np.testing.assert_allclose(b.grad, [0.8])
+        assert abs(_global_norm([("a", a), ("b", b)]) - 1.0) <= 1e-12
 
     def test_no_clip_when_under_norm(self):
         a = Tensor(np.zeros(1), requires_grad=True)
         a.grad = np.array([3.0])
         norm = clip_gradients([("a", a)], max_norm=10.0)
         assert norm == pytest.approx(3.0)
-        np.testing.assert_allclose(a.grad, [3.0])
+        np.testing.assert_array_equal(a.grad, [3.0])
 
     def test_zero_max_norm_disables(self):
         a = Tensor(np.zeros(1), requires_grad=True)
         a.grad = np.array([100.0])
-        clip_gradients([("a", a)], max_norm=0.0)
-        np.testing.assert_allclose(a.grad, [100.0])
+        assert clip_gradients([("a", a)], max_norm=0.0) == 100.0
+        np.testing.assert_array_equal(a.grad, [100.0])
 
 
 class TestCheckpointIO:
@@ -179,6 +185,7 @@ class TestCheckpointIO:
         assert set(entries) == {"scalar", "vec", "mat", "cube"}
         for name, arr in arrays:
             assert entries[name].dtype == np.float32
+            assert entries[name].shape == arr.shape
             np.testing.assert_array_equal(entries[name], arr.astype(np.float32))
         assert got_meta == meta
 
@@ -224,7 +231,7 @@ class TestConfigMetadata:
     def test_roundtrip(self):
         cfg = ModelConfig(vocab_size=31, variant="sate", hidden=16, heads=2,
                           ffn=32, enc_layers=3, dec_layers=2,
-                          acoustic_layers=2, textual_layers=1)
+                          acoustic_layers=2)
         rebuilt = config_from_metadata(config_metadata(cfg))
         assert rebuilt == cfg
 
@@ -236,15 +243,18 @@ class TestConfigMetadata:
             config_from_metadata(meta)
 
     def test_removed_option_is_named_not_blamed_on_digest(self, tmp_path):
-        # A checkpoint written before `prenorm` was removed still carries it.
+        # A checkpoint written before these options were removed carries them.
         model = _tiny_model()
+        removed = {"prenorm": True, "dlcl": True, "textual_layers": 4,
+                   "attn_dropout": 0.1, "act_dropout": 0.1}
         meta = {"step": 0, "epoch": 0, **config_metadata(model.cfg),
-                "config.prenorm": True}
+                **{f"config.{k}": v for k, v in removed.items()}}
         path = tmp_path / "old.ckpt"
         save_checkpoint(path, [(n, p.data) for n, p in model.named_parameters()],
                         meta)
-        with pytest.raises(ValueError, match="prenorm") as exc:
+        with pytest.raises(ValueError, match="unknown model config keys") as exc:
             load_model(path)
+        assert all(repr(k) in str(exc.value) for k in removed)
         assert "digest" not in str(exc.value)
 
     def test_digest_differs_across_configs(self):
@@ -274,7 +284,7 @@ class TestModelCheckpoint:
 
     def test_adaptor_mix_embeddings_through_whole_model(self, tmp_path):
         cfg = ModelConfig(vocab_size=15, variant="sate", enc_layers=2,
-                          acoustic_layers=1, textual_layers=1, dec_layers=1,
+                          acoustic_layers=1, dec_layers=1,
                           hidden=8, heads=2, ffn=16, conv_kernel=3,
                           adaptor_mix_embeddings=True)
         model = SpeechTranslator(cfg, RngStream(4))
@@ -490,6 +500,27 @@ class TestTrainLoop:
         model.forward = recording_forward
         train(model, samples, TrainConfig(epochs=1, frame_budget=32), max_steps=2)
         assert alive_at_forward == [[], [False]]
+
+    def test_clip_norm_clips_every_step(self, monkeypatch):
+        samples, _ = _toy_samples()
+        seen = []
+
+        def recording(named_params, max_norm):
+            before = clip_gradients(named_params, max_norm)
+            seen.append((max_norm, before, _global_norm(named_params)))
+            return before
+
+        monkeypatch.setattr(training, "clip_gradients", recording)
+        train(_tiny_model(), samples, TrainConfig(epochs=1, frame_budget=32,
+                                                  clip_norm=0.05), max_steps=2)
+        assert len(seen) == 2
+        for max_norm, before, after in seen:
+            assert max_norm == 0.05 and before > 0.05
+            assert abs(after - 0.05) <= 1e-12
+        seen.clear()
+        train(_tiny_model(), samples, TrainConfig(epochs=1, frame_budget=32),
+              max_steps=1)
+        assert seen == []
 
     def test_training_changes_parameters(self):
         samples, _ = _toy_samples(n=6)
