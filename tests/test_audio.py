@@ -132,6 +132,12 @@ class TestSpecAugment:
             masked_channels = int((out == 0.0).all(axis=0).sum())
             assert masked_channels <= 16
 
+    def test_rejects_invalid_policy(self):
+        with pytest.raises(ValueError, match="sa_freq_width"):
+            TrainConfig(sa_freq_width=81)
+        with pytest.raises(ValueError, match="sa_time_fraction"):
+            TrainConfig(sa_time_fraction=1.5)
+
 
 class TestFilterUtterances:
     def test_boundaries(self):
