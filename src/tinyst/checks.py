@@ -107,8 +107,7 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
     check("glu", lambda: glu(cx, axis=-1).sum(), [cx])
     # A fresh stream with a fixed seed redraws the same mask every call,
     # which keeps the loss deterministic for the numeric probes.
-    check("dropout", lambda: dropout(cx, 0.4, RngStream(77), training=True).sum(),
-          [cx])
+    check("dropout", lambda: dropout(cx, 0.4, RngStream(77)).sum(), [cx])
     return results
 
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import MISSING, fields
-from typing import get_type_hints
+from dataclasses import fields
 
 from .audio import (FrontendConfig, filter_utterances, logmel, read_wav,
                     save_features)
 from .checks import ctc_oracle_sweep, op_gradcheck_sweep, tiny_multitask_gradcheck
-from .config import format_value, read_config
+from .config import converter, format_value, read_config, settings
 from .data import ManifestEntry, load_dataset, read_manifest, write_manifest
 from .decoding import (
     DecodeConfig,
@@ -90,36 +89,15 @@ FIELD_HELP = {
     # DecodeConfig
     "lennorm_beta": "length-normalization exponent",
     "max_len_factor": "output length cap per encoder frame",
-    "extra_len": "tokens added to the output length cap",
+    "extra_len": "tokens added to the output length cap, >= 0",
 }
-
-
-def _bool_flag(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
-
-
-def _settings(cls) -> list:
-    """(field, type) for each field of a config dataclass a user sets.  A
-    field without a default (ModelConfig.vocab_size) is filled in by the
-    command."""
-    hints = get_type_hints(cls)
-    return [(f, hints[f.name]) for f in fields(cls) if f.default is not MISSING]
-
-
-def _converter(typ):
-    return _bool_flag if typ is bool else typ
 
 
 def _add_flags(p: argparse.ArgumentParser, cls):
     g = p.add_argument_group(cls.__name__)
-    for f, typ in _settings(cls):
+    for f, typ in settings(cls):
         about = FIELD_HELP.get(f.name, "")
-        g.add_argument("--" + f.name.replace("_", "-"), type=_converter(typ),
+        g.add_argument("--" + f.name.replace("_", "-"), type=converter(typ),
                        metavar=typ.__name__.upper(),
                        help=f"{about} ({format_value(f.default)})".strip())
 
@@ -129,18 +107,16 @@ def _config_file(args, classes) -> dict:
     converted as its flag would convert it."""
     if not args.config:
         return {}
-    types = {f.name: typ for cls in classes for f, typ in _settings(cls)}
+    types = {f.name: typ for cls in classes for f, typ in settings(cls)}
     raw = read_config(args.config)
     unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys {unknown}")
     values = {}
-    for key, value in raw.items():
-        # read_config coerces each value; format_value turns it back into text.
-        text = format_value(value)
+    for key, text in raw.items():
         try:
-            values[key] = _converter(types[key])(text)
-        except (ValueError, argparse.ArgumentTypeError):
+            values[key] = converter(types[key])(text)
+        except ValueError:
             raise ValueError(f"{args.config}: {key} = {text} is not a valid "
                              f"{types[key].__name__}") from None
     return values
@@ -150,7 +126,7 @@ def _merged(args, cls, file_values: dict) -> dict:
     """Keyword arguments for `cls`: each field's flag if given, else its
     config-file value; fields set by neither keep the dataclass default."""
     out = {}
-    for f, _ in _settings(cls):
+    for f, _ in settings(cls):
         value = getattr(args, f.name)
         if value is None:
             value = file_values.get(f.name)
@@ -413,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True,
                    help="directory with epochNNNN.ckpt files")
     p.add_argument("--window", type=int, default=10,
-                   help="how many final checkpoints to average (10)")
+                   help="how many final checkpoints to average, >= 1 (10)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_average)
 

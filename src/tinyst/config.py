@@ -1,29 +1,41 @@
-"""Flat structured-text config files: one `key = value` per line.
+"""Settings as text: flat `key = value` config files, and the conversion of
+a setting's text to its dataclass field's type.
 
-Values are coerced on read: booleans (true/false), ints, floats, then plain
-strings.  `#` starts a comment.  CLI flags override file values; that merge
-happens in the CLI layer, this module only reads and writes.
+A config file holds one `key = value` per line; `#` starts a comment.
+`read_config` returns each value as the text that was written.  Flags,
+config files and checkpoint metadata all convert that text with
+`converter(field type)`, so `hidden = 2.5` is rejected as an int the same
+way everywhere and a digest that looks like a number stays text.  CLI flags
+override file values; that merge happens in the CLI layer.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
-def coerce(raw: str):
-    text = raw.strip()
+
+def boolean(text: str) -> bool:
+    """true/false, yes/no or 1/0, in any case."""
     low = text.lower()
-    if low == "true":
+    if low in ("true", "1", "yes"):
         return True
-    if low == "false":
+    if low in ("false", "0", "no"):
         return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def converter(typ):
+    """The function that turns a setting's text into a value of `typ`."""
+    return boolean if typ is bool else typ
+
+
+def settings(cls) -> list:
+    """(field, type) for each field of a config dataclass a user sets.  A
+    field without a default (ModelConfig.vocab_size) is filled in by the
+    command."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls) if f.default is not MISSING]
 
 
 def format_value(value) -> str:
@@ -47,7 +59,7 @@ def read_config(path) -> dict:
             key = key.strip()
             if not key:
                 raise ValueError(f"{path}:{n}: empty key")
-            out[key] = coerce(raw)
+            out[key] = raw.strip()
     return out
 
 

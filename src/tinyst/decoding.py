@@ -34,6 +34,8 @@ class DecodeConfig:
             raise ValueError(f"lennorm_beta must be >= 0, got {self.lennorm_beta}")
         if self.max_len_factor <= 0:
             raise ValueError(f"max_len_factor must be > 0, got {self.max_len_factor}")
+        if self.extra_len < 0:
+            raise ValueError(f"extra_len must be >= 0, got {self.extra_len}")
 
 
 @dataclass

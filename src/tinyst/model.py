@@ -14,12 +14,19 @@ Four variants form a ladder, each adding one ingredient:
 
 All activations are (batch, time, hidden) tensors; batches are exact-shape
 (no padding), so no attention masks beyond the causal one are needed.
+
+Dropout is on exactly when a random stream is given.  `SpeechTranslator`
+binds its one rate (`ModelConfig.dropout`) and the caller's stream into a
+single function, `drop`, and passes it down; every block applies `drop`
+wherever it drops units.  A block called without `drop` runs in eval mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -182,6 +189,14 @@ def causal_mask(t: int) -> np.ndarray:
     return np.triu(np.full((t, t), LOG_ZERO), k=1)
 
 
+Dropout = Callable[[Tensor], Tensor]
+
+
+def no_dropout(x: Tensor) -> Tensor:
+    """The `drop` of eval mode: the identity."""
+    return x
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention, optionally with clipped relative
     position embeddings on keys and values (self-attention only).
@@ -192,10 +207,9 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, hidden: int, heads: int, rng: RngStream,
-                 drop: float = 0.0, max_rel: int | None = None):
+                 max_rel: int | None = None):
         self.heads = heads
         self.d_head = hidden // heads
-        self.drop = drop
         self.max_rel = max_rel
         self.wq = Linear(hidden, hidden, rng.child("wq"))
         self.wk = Linear(hidden, hidden, rng.child("wk"))
@@ -214,7 +228,7 @@ class MultiHeadAttention(Module):
         return x.reshape(b, t, self.heads, self.d_head).transpose(0, 2, 1, 3)
 
     def __call__(self, query: Tensor, kv: Tensor, causal: bool = False,
-                 training: bool = False, rng: RngStream | None = None) -> Tensor:
+                 drop: Dropout = no_dropout) -> Tensor:
         b, tq, hidden = query.shape
         tk = kv.shape[1]
         q = self._split(self.wq(query), b, tq)
@@ -233,7 +247,7 @@ class MultiHeadAttention(Module):
         if causal:
             scores = scores + Tensor(causal_mask(tq))
         attn = scores.softmax(axis=-1)
-        attn = dropout(attn, self.drop, rng, training)
+        attn = drop(attn)
         ctx = attn @ v
         if self.max_rel is not None:
             idx = relative_position_index(tq, tk, self.max_rel)
@@ -247,45 +261,38 @@ class MultiHeadAttention(Module):
 
 class FeedForward(Module):
     def __init__(self, hidden: int, ffn: int, rng: RngStream,
-                 drop: float = 0.0, activation: str = "relu"):
+                 activation: str = "relu"):
         self.lin1 = Linear(hidden, ffn, rng.child("lin1"))
         self.lin2 = Linear(ffn, hidden, rng.child("lin2"))
-        self.drop = drop
         self.activation = activation
 
-    def __call__(self, x: Tensor, training: bool = False,
-                 rng: RngStream | None = None) -> Tensor:
+    def __call__(self, x: Tensor, drop: Dropout = no_dropout) -> Tensor:
         h = self.lin1(x)
         h = h.swish() if self.activation == "swish" else h.relu()
-        h = dropout(h, self.drop, rng, training)
-        return self.lin2(h)
+        return self.lin2(drop(h))
 
 
 class TransformerEncoderLayer(Module):
     """Self-attention + FFN, each behind a layer norm on a residual branch."""
 
     def __init__(self, cfg: ModelConfig, rng: RngStream, max_rel: int | None = None):
-        self.drop = cfg.dropout
         self.norm1 = LayerNorm(cfg.hidden)
         self.norm2 = LayerNorm(cfg.hidden)
         self.attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng.child("attn"),
-                                       cfg.dropout, max_rel)
-        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"), cfg.dropout)
+                                       max_rel)
+        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"))
 
-    def __call__(self, x: Tensor, training: bool = False,
-                 rng: RngStream | None = None) -> Tensor:
+    def __call__(self, x: Tensor, drop: Dropout = no_dropout) -> Tensor:
         h = self.norm1(x)
-        x = x + dropout(self.attn(h, h, training=training, rng=rng),
-                        self.drop, rng, training)
-        x = x + dropout(self.ffn(self.norm2(x), training, rng),
-                        self.drop, rng, training)
+        x = x + drop(self.attn(h, h, drop=drop))
+        x = x + drop(self.ffn(self.norm2(x), drop))
         return x
 
 
 class ConvModule(Module):
     """Pointwise expansion -> GLU -> depthwise conv -> LN -> swish -> pointwise."""
 
-    def __init__(self, hidden: int, kernel: int, rng: RngStream, drop: float):
+    def __init__(self, hidden: int, kernel: int, rng: RngStream):
         self.pw1 = Linear(hidden, 2 * hidden, rng.child("pw1"))
         self.dw_weight = Tensor(xavier_uniform(rng.child("dw"), (kernel, hidden),
                                                kernel, kernel), requires_grad=True)
@@ -293,47 +300,38 @@ class ConvModule(Module):
         self.norm = LayerNorm(hidden)
         self.pw2 = Linear(hidden, hidden, rng.child("pw2"))
         self.kernel = kernel
-        self.drop = drop
 
-    def __call__(self, x: Tensor, training: bool = False,
-                 rng: RngStream | None = None) -> Tensor:
+    def __call__(self, x: Tensor, drop: Dropout = no_dropout) -> Tensor:
         h = glu(self.pw1(x))
         h = depthwise_conv1d(h, self.dw_weight, self.dw_bias,
                              padding=self.kernel // 2)
         h = self.norm(h).swish()
-        h = self.pw2(h)
-        return dropout(h, self.drop, rng, training)
+        return drop(self.pw2(h))
 
 
 class ConformerBlock(Module):
     """Macaron block: half-FFN, self-attention, convolution, half-FFN, LN."""
 
     def __init__(self, cfg: ModelConfig, rng: RngStream, max_rel: int | None = None):
-        self.drop = cfg.dropout
         self.norm_ffn1 = LayerNorm(cfg.hidden)
         self.ffn1 = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn1"),
-                                cfg.dropout, activation="swish")
+                                activation="swish")
         self.norm_attn = LayerNorm(cfg.hidden)
         self.attn = MultiHeadAttention(cfg.hidden, cfg.heads, rng.child("attn"),
-                                       cfg.dropout, max_rel)
+                                       max_rel)
         self.norm_conv = LayerNorm(cfg.hidden)
-        self.conv = ConvModule(cfg.hidden, cfg.conv_kernel, rng.child("conv"),
-                               cfg.dropout)
+        self.conv = ConvModule(cfg.hidden, cfg.conv_kernel, rng.child("conv"))
         self.norm_ffn2 = LayerNorm(cfg.hidden)
         self.ffn2 = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn2"),
-                                cfg.dropout, activation="swish")
+                                activation="swish")
         self.norm_out = LayerNorm(cfg.hidden)
 
-    def __call__(self, x: Tensor, training: bool = False,
-                 rng: RngStream | None = None) -> Tensor:
-        x = x + dropout(self.ffn1(self.norm_ffn1(x), training, rng),
-                        self.drop, rng, training) * 0.5
+    def __call__(self, x: Tensor, drop: Dropout = no_dropout) -> Tensor:
+        x = x + drop(self.ffn1(self.norm_ffn1(x), drop)) * 0.5
         h = self.norm_attn(x)
-        x = x + dropout(self.attn(h, h, training=training, rng=rng),
-                        self.drop, rng, training)
-        x = x + self.conv(self.norm_conv(x), training, rng)
-        x = x + dropout(self.ffn2(self.norm_ffn2(x), training, rng),
-                        self.drop, rng, training) * 0.5
+        x = x + drop(self.attn(h, h, drop=drop))
+        x = x + self.conv(self.norm_conv(x), drop)
+        x = x + drop(self.ffn2(self.norm_ffn2(x), drop)) * 0.5
         return self.norm_out(x)
 
 
@@ -415,39 +413,31 @@ class _EncoderStack(Module):
                        for i in range(n_layers)]
         self.dlcl = DlclCombiner(n_layers, cfg.hidden)
 
-    def __call__(self, x: Tensor, training: bool = False,
-                 rng: RngStream | None = None) -> Tensor:
+    def __call__(self, x: Tensor, drop: Dropout = no_dropout) -> Tensor:
         normed = [self.dlcl.norms[0](x)]
         for i, block in enumerate(self.blocks):
-            y = block(self.dlcl.combine(normed, i), training, rng)
+            y = block(self.dlcl.combine(normed, i), drop)
             normed.append(self.dlcl.norms[i + 1](y))
         return self.dlcl.combine(normed, len(self.blocks))
 
 
 class TransformerDecoderLayer(Module):
     def __init__(self, cfg: ModelConfig, rng: RngStream, max_rel: int | None):
-        self.drop = cfg.dropout
         self.norm1 = LayerNorm(cfg.hidden)
         self.norm2 = LayerNorm(cfg.hidden)
         self.norm3 = LayerNorm(cfg.hidden)
         self.self_attn = MultiHeadAttention(cfg.hidden, cfg.heads,
-                                            rng.child("self_attn"),
-                                            cfg.dropout, max_rel)
+                                            rng.child("self_attn"), max_rel)
         self.cross_attn = MultiHeadAttention(cfg.hidden, cfg.heads,
-                                             rng.child("cross_attn"),
-                                             cfg.dropout)
-        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"), cfg.dropout)
+                                             rng.child("cross_attn"))
+        self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"))
 
-    def __call__(self, x: Tensor, memory: Tensor, training: bool = False,
-                 rng: RngStream | None = None) -> Tensor:
+    def __call__(self, x: Tensor, memory: Tensor,
+                 drop: Dropout = no_dropout) -> Tensor:
         h = self.norm1(x)
-        x = x + dropout(self.self_attn(h, h, causal=True, training=training, rng=rng),
-                        self.drop, rng, training)
-        x = x + dropout(self.cross_attn(self.norm2(x), memory,
-                                        training=training, rng=rng),
-                        self.drop, rng, training)
-        x = x + dropout(self.ffn(self.norm3(x), training, rng),
-                        self.drop, rng, training)
+        x = x + drop(self.self_attn(h, h, causal=True, drop=drop))
+        x = x + drop(self.cross_attn(self.norm2(x), memory, drop=drop))
+        x = x + drop(self.ffn(self.norm3(x), drop))
         return x
 
 
@@ -480,39 +470,39 @@ class SpeechTranslator(Module):
         self.dec_norm = LayerNorm(cfg.hidden)
         self.out_proj = Linear(cfg.hidden, cfg.vocab_size, rng.child("out_proj"))
 
-    def encode(self, features: Tensor, training: bool = False,
+    def encode(self, features: Tensor,
                rng: RngStream | None = None) -> EncoderOutput:
-        """Run the encoder side; features are (B, T, 80)."""
+        """Run the encoder side; features are (B, T, 80).  Dropout draws
+        from `rng`; without it the encoder runs in eval mode."""
         if features.ndim != 3 or features.shape[-1] != 80:
             raise ValueError(f"features must be (B, T, 80), got {features.shape}")
-        x = self.downsampler(features)
-        x = add_absolute_positions(x)
-        x = dropout(x, self.cfg.dropout, rng, training)
+        drop = partial(dropout, p=self.cfg.dropout, rng=rng)
+        x = drop(add_absolute_positions(self.downsampler(features)))
         if self.cfg.variant == "sate":
-            acoustic = self.acoustic(x, training, rng)
+            acoustic = self.acoustic(x, drop)
             ctc_logits = self.ctc_head(acoustic)
             bridged = self.adaptor(acoustic, ctc_logits, self.embed.table)
-            memory = self.textual(bridged, training, rng)
+            memory = self.textual(bridged, drop)
         else:
-            memory = self.encoder(x, training, rng)
+            memory = self.encoder(x, drop)
             ctc_logits = self.ctc_head(memory)
         t_out = memory.shape[1]
         return EncoderOutput(memory, ctc_logits, [t_out] * memory.shape[0])
 
     def decode_logits(self, enc: EncoderOutput, prefix: np.ndarray,
-                      training: bool = False,
                       rng: RngStream | None = None) -> Tensor:
         """Teacher-forced decoder pass: (B, Lp) prefix ids to (B, Lp, vocab)
-        next-token logits, causal at every position."""
+        next-token logits, causal at every position.  Dropout draws from
+        `rng`; without it the decoder runs in eval mode."""
         prefix = np.asarray(prefix, dtype=np.intp)
         if prefix.ndim != 2 or prefix.shape[1] < 1:
             raise ValueError(f"prefix must be (B, >=1) token ids, got {prefix.shape}")
         if np.any(prefix[:, 0] != BOS_ID):
             raise ValueError("decoder prefix must begin with bos")
-        x = add_absolute_positions(self.embed(prefix) * math.sqrt(self.cfg.hidden))
-        x = dropout(x, self.cfg.dropout, rng, training)
+        drop = partial(dropout, p=self.cfg.dropout, rng=rng)
+        x = drop(add_absolute_positions(self.embed(prefix) * math.sqrt(self.cfg.hidden)))
         for layer in self.dec_layers:
-            x = layer(x, enc.memory, training, rng)
+            x = layer(x, enc.memory, drop)
         return self.out_proj(self.dec_norm(x))
 
     def decoder_step(self, enc: EncoderOutput, prefix: np.ndarray) -> Tensor:
@@ -522,6 +512,8 @@ class SpeechTranslator(Module):
         return logits[:, -1]
 
     def forward(self, features: Tensor, prefix: np.ndarray,
-                training: bool = False, rng: RngStream | None = None):
-        enc = self.encode(features, training, rng)
-        return self.decode_logits(enc, prefix, training, rng), enc
+                rng: RngStream | None = None):
+        """Encoder and teacher-forced decoder; passing `rng` trains (dropout
+        on, drawn from that one stream), omitting it evaluates."""
+        enc = self.encode(features, rng)
+        return self.decode_logits(enc, prefix, rng), enc

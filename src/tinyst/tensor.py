@@ -496,32 +496,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor._from_op(out, (x, gain, bias), backward)
 
 
-def _lift_to_batch(x: Tensor):
-    if x.data.ndim == 2:
-        return x.reshape(1, *x.data.shape), True
-    if x.data.ndim == 3:
-        return x, False
-    raise ValueError(f"conv1d expects a (T, C) or (B, T, C) input, got shape {x.data.shape}")
-
-
 def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D convolution over the time axis.
 
-    x: (B, T, C_in) or (T, C_in); weight: (K, C_in, C_out); bias: (C_out,).
+    x: (B, T, C_in); weight: (K, C_in, C_out); bias: (C_out,).
     Output length is floor((T + 2*padding - K) / stride) + 1.
     """
     if stride < 1 or weight.data.shape[0] < 1:
         raise ValueError("conv1d needs kernel >= 1 and stride >= 1")
-    x3, squeeze = _lift_to_batch(x)
+    if x.data.ndim != 3:
+        raise ValueError(f"conv1d expects a (B, T, C) input, got shape {x.data.shape}")
     k, c_in, c_out = weight.data.shape
-    b, t, c = x3.data.shape
+    _, t, c = x.data.shape
     if c != c_in:
         raise ValueError(f"conv1d channel mismatch: input has {c}, weight expects {c_in}")
     t_out = (t + 2 * padding - k) // stride + 1
     if t_out <= 0:
         raise ValueError(
             f"conv1d input too short: length {t} with kernel {k}, stride {stride}, padding {padding}")
-    xp = np.pad(x3.data, ((0, 0), (padding, padding), (0, 0))) if padding else x3.data
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
     # windows: (B, T_out, C_in, K) -> out[b,t,o] = sum_{c,k} win * w[k,c,o]
     out = np.tensordot(windows, weight.data, axes=([3, 2], [0, 1]))
@@ -529,47 +522,45 @@ def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
         out = out + bias.data
     parents = [x, weight] + ([bias] if bias is not None else [])
     if not _tracking(*parents):
-        res = Tensor(out)
-        return res.reshape(t_out, c_out) if squeeze else res
+        return Tensor(out)
 
     def backward(g):
-        g3 = g.reshape(b, t_out, c_out)
         if bias is not None and bias.requires_grad:
-            bias._accum(g3.sum(axis=(0, 1)))
+            bias._accum(g.sum(axis=(0, 1)))
         if weight.requires_grad:
             # dW[k,c,o] = sum_{b,t} windows[b,t,c,k] * g[b,t,o]
-            dw = np.tensordot(windows, g3, axes=([0, 1], [0, 1]))  # (C_in, K, C_out)
+            dw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))  # (C_in, K, C_out)
             weight._accum(dw.transpose(1, 0, 2))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for kk in range(k):
-                contrib = g3 @ weight.data[kk].T  # (B, T_out, C_in)
+                contrib = g @ weight.data[kk].T  # (B, T_out, C_in)
                 dxp[:, kk:kk + t_out * stride:stride] += contrib
-            dx = dxp[:, padding:padding + t] if padding else dxp
-            x._accum(dx.reshape(x.data.shape))
+            x._accum(dxp[:, padding:padding + t] if padding else dxp)
 
-    res = Tensor._from_op(out, tuple(parents), backward)
-    return res.reshape(t_out, c_out) if squeeze else res
+    return Tensor._from_op(out, tuple(parents), backward)
 
 
 def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> Tensor:
     """Per-channel stride-1 1-D convolution: each channel is filtered
     independently.
 
-    x: (B, T, C) or (T, C); weight: (K, C); bias: (C,).
+    x: (B, T, C); weight: (K, C); bias: (C,).
     """
     if weight.data.shape[0] < 1:
         raise ValueError("depthwise conv needs kernel >= 1")
-    x3, squeeze = _lift_to_batch(x)
+    if x.data.ndim != 3:
+        raise ValueError(f"depthwise conv expects a (B, T, C) input, "
+                         f"got shape {x.data.shape}")
     k, c_w = weight.data.shape
-    b, t, c = x3.data.shape
+    _, t, c = x.data.shape
     if c != c_w:
         raise ValueError(f"depthwise conv channel mismatch: input has {c}, weight expects {c_w}")
     t_out = t + 2 * padding - k + 1
     if t_out <= 0:
         raise ValueError(
             f"conv1d input too short: length {t} with kernel {k}, padding {padding}")
-    xp = np.pad(x3.data, ((0, 0), (padding, padding), (0, 0))) if padding else x3.data
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
     # windows: (B, T_out, C, K); out[b,t,c] = sum_k win[b,t,c,k] * w[k,c]
     out = np.einsum("btck,kc->btc", windows, weight.data)
@@ -577,31 +568,29 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> 
         out = out + bias.data
     parents = [x, weight] + ([bias] if bias is not None else [])
     if not _tracking(*parents):
-        res = Tensor(out)
-        return res.reshape(t_out, c) if squeeze else res
+        return Tensor(out)
 
     def backward(g):
-        g3 = g.reshape(b, t_out, c)
         if bias is not None and bias.requires_grad:
-            bias._accum(g3.sum(axis=(0, 1)))
+            bias._accum(g.sum(axis=(0, 1)))
         if weight.requires_grad:
-            weight._accum(np.einsum("btck,btc->kc", windows, g3))
+            weight._accum(np.einsum("btck,btc->kc", windows, g))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for kk in range(k):
-                dxp[:, kk:kk + t_out] += g3 * weight.data[kk]
-            dx = dxp[:, padding:padding + t] if padding else dxp
-            x._accum(dx.reshape(x.data.shape))
+                dxp[:, kk:kk + t_out] += g * weight.data[kk]
+            x._accum(dxp[:, padding:padding + t] if padding else dxp)
 
-    res = Tensor._from_op(out, tuple(parents), backward)
-    return res.reshape(t_out, c) if squeeze else res
+    return Tensor._from_op(out, tuple(parents), backward)
 
 
-def dropout(x: Tensor, p: float, rng: RngStream, training: bool) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-p) so inference is a no-op."""
+def dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
+    """Inverted dropout: zeroes each unit with probability p and scales the
+    kept ones by 1/(1-p).  The stream is the train/eval switch: with no
+    stream (or p == 0) it is the identity and draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     mask = (rng.uniform(size=x.data.shape) >= p) / (1.0 - p)
     return x * Tensor(mask)

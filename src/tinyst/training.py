@@ -4,7 +4,9 @@ loop, and final-N parameter averaging.
 Checkpoints store parameters as 32-bit floats in a little-endian binary
 container (magic "STCK") with a trailing key=value metadata block carrying
 the step, epoch, and the full model configuration plus its digest, so a
-checkpoint alone is enough to rebuild the model for decoding.
+checkpoint alone is enough to rebuild the model for decoding.  Metadata
+loads back as the text that was written; each `config.*` value is
+converted by its ModelConfig field's type.
 
 Training is deterministic for a fixed seed: batch order, dropout, and
 SpecAugment all draw from named child streams of one root RngStream, and all
@@ -18,11 +20,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .audio import N_MELS, spec_augment
-from .config import coerce, format_value
+from .config import converter, format_value
 from .data import drop_ctc_infeasible, make_batches
 from .losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
 from .model import ModelConfig, SpeechTranslator
@@ -115,7 +118,8 @@ def save_checkpoint(path, named_arrays, metadata: dict):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (entries: name -> float32 array, metadata).
+    """Read a checkpoint; returns (entries: name -> float32 array, metadata:
+    key -> text as written).
 
     A file cut short anywhere, or with bytes after its metadata block, is
     rejected with its path."""
@@ -154,7 +158,7 @@ def load_checkpoint(path):
     for line in meta_text.splitlines():
         if line.strip():
             key, _, raw = line.partition("=")
-            metadata[key.strip()] = coerce(raw)
+            metadata[key.strip()] = raw.strip()
     return entries, metadata
 
 
@@ -164,20 +168,30 @@ def config_digest(cfg: ModelConfig) -> str:
 
 
 def config_metadata(cfg: ModelConfig) -> dict:
-    meta = {f"config.{f.name}": getattr(cfg, f.name) for f in fields(cfg)}
+    """The `config.*` entries and digest as a checkpoint stores them: text."""
+    meta = {f"config.{f.name}": format_value(getattr(cfg, f.name))
+            for f in fields(cfg)}
     meta["config_digest"] = config_digest(cfg)
     return meta
 
 
 def config_from_metadata(metadata: dict) -> ModelConfig:
-    """Rebuild the model configuration; a `config.*` key that names no
-    ModelConfig field (for example one of a removed option) is rejected."""
-    known = {f.name for f in fields(ModelConfig)}
-    kwargs = {key[len("config."):]: value for key, value in metadata.items()
-              if key.startswith("config.")}
-    unknown = sorted(set(kwargs) - known)
+    """Rebuild the model configuration from `config.*` text, each value
+    converted by its field's type; a key that names no ModelConfig field
+    (for example one of a removed option) is rejected."""
+    types = get_type_hints(ModelConfig)
+    texts = {key[len("config."):]: text for key, text in metadata.items()
+             if key.startswith("config.")}
+    unknown = sorted(set(texts) - set(types))
     if unknown:
         raise ValueError(f"checkpoint has unknown model config keys {unknown}")
+    kwargs = {}
+    for name, text in texts.items():
+        try:
+            kwargs[name] = converter(types[name])(text)
+        except ValueError:
+            raise ValueError(f"checkpoint config.{name} = {text} is not a valid "
+                             f"{types[name].__name__}") from None
     cfg = ModelConfig(**kwargs)
     stored = metadata.get("config_digest")
     if stored is not None and stored != config_digest(cfg):
@@ -253,7 +267,10 @@ def average_checkpoints(paths: list):
 
 
 def final_checkpoints(directory, window: int = 10) -> list:
-    """The last `window` per-epoch checkpoints in a run directory, by epoch."""
+    """The last `window` (>= 1) per-epoch checkpoints in a run directory, by
+    epoch."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     names = sorted(n for n in os.listdir(directory)
                    if n.startswith("epoch") and n.endswith(".ckpt"))
     return [os.path.join(directory, n) for n in names[-window:]]
@@ -313,8 +330,7 @@ def _train_step(model: SpeechTranslator, opt: Adam, feats: np.ndarray, batch,
     The step's autodiff graph is referenced only from this frame, so it is
     freed on return instead of staying alive through the next forward.
     """
-    logits, enc = model.forward(Tensor(feats), batch.prefix, training=True,
-                                rng=drop_rng)
+    logits, enc = model.forward(Tensor(feats), batch.prefix, rng=drop_rng)
     b, l_out = batch.targets.shape
     ce = label_smoothed_ce(logits.reshape(b * l_out, model.cfg.vocab_size),
                            batch.targets.reshape(-1), cfg.epsilon_ls)

@@ -187,6 +187,24 @@ class TestDecodeCommands:
             assert utt_id.startswith("dev-")
             float(score)
 
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_average_rejects_window_below_one(self, workspace, tmp_path, capsys,
+                                              window):
+        avg = tmp_path / "avg.ckpt"
+        assert main(["average", "--run-dir", str(workspace["run"]),
+                     "--window", window, "--out", str(avg)]) == 1
+        assert "window" in capsys.readouterr().err
+        assert not avg.exists()
+
+    def test_decode_rejects_negative_extra_len(self, workspace, tmp_path, capsys):
+        assert main(["decode", "--checkpoint",
+                     str(workspace["run"] / "epoch0002.ckpt"),
+                     "--manifest", str(workspace["corpus"] / "dev.tsv"),
+                     "--subwords", str(workspace["prep"]), "--extra-len", "-100",
+                     "--out", str(tmp_path / "dev.hyp")]) == 1
+        assert "extra_len" in capsys.readouterr().err
+        assert not (tmp_path / "dev.hyp").exists()
+
     def test_ensemble_decode_accepts_six_models(self, workspace, tmp_path):
         ckpt = str(workspace["run"] / "epoch0002.ckpt")
         single = tmp_path / "single.hyp"

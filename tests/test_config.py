@@ -2,18 +2,21 @@
 
 import pytest
 
-from tinyst.config import coerce, read_config, write_config
+from tinyst.config import boolean, converter, format_value, read_config, write_config
 
 
-class TestCoerce:
-    def test_types(self):
-        assert coerce("true") is True
-        assert coerce("False") is False
-        assert coerce("42") == 42 and isinstance(coerce("42"), int)
-        assert coerce("2e-3") == 2e-3
-        assert coerce("-0.5") == -0.5
-        assert coerce("baseline") == "baseline"
-        assert coerce("  spaced  ") == "spaced"
+class TestConverter:
+    def test_each_type_converts_its_text(self):
+        assert converter(bool) is boolean
+        assert boolean("true") is True and boolean("False") is False
+        assert boolean("YES") is True and boolean("0") is False
+        assert converter(int)("42") == 42
+        assert converter(float)("2e-3") == 2e-3
+        assert converter(str)("67739675e6142625") == "67739675e6142625"
+
+    def test_bad_bool_is_a_value_error(self):
+        with pytest.raises(ValueError, match="true/false"):
+            boolean("maybe")
 
 
 class TestConfigIO:
@@ -22,12 +25,18 @@ class TestConfigIO:
                "prenorm": True, "dlcl": False}
         p = tmp_path / "run.conf"
         write_config(p, cfg)
-        assert read_config(p) == cfg
+        assert read_config(p) == {k: format_value(v) for k, v in cfg.items()}
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "c.conf"
         p.write_text("# heading\n\nhidden = 8  # trailing\n\n")
-        assert read_config(p) == {"hidden": 8}
+        assert read_config(p) == {"hidden": "8"}
+
+    def test_values_stay_text(self, tmp_path):
+        p = tmp_path / "c.conf"
+        p.write_text("digest = 3149255329814175\nflag = true\nname =  spaced  \n")
+        assert read_config(p) == {"digest": "3149255329814175", "flag": "true",
+                                  "name": "spaced"}
 
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "c.conf"
@@ -44,4 +53,4 @@ class TestConfigIO:
     def test_float_precision_survives(self, tmp_path):
         p = tmp_path / "c.conf"
         write_config(p, {"lr": 0.1 + 0.2})
-        assert read_config(p)["lr"] == 0.1 + 0.2
+        assert float(read_config(p)["lr"]) == 0.1 + 0.2

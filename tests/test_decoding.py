@@ -60,6 +60,11 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             DecodeConfig(max_len_factor=0.0)
 
+    def test_negative_extra_len_names_the_field(self):
+        with pytest.raises(ValueError, match="extra_len"):
+            DecodeConfig(extra_len=-1)
+        assert DecodeConfig(extra_len=0).extra_len == 0
+
 
 class TestLengthNormalize:
     def test_linear(self):

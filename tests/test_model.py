@@ -1,15 +1,19 @@
 """Tests for the architecture ladder: blocks, positions, variants."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from tinyst.model import (Adaptor, ConformerBlock, DlclCombiner, Downsampler,
-                          EncoderOutput, ModelConfig, MultiHeadAttention,
-                          SpeechTranslator, TransformerEncoderLayer,
-                          add_absolute_positions, causal_mask, downsampled_length,
-                          relative_position_index, sinusoidal_positions)
+from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DlclCombiner,
+                          Downsampler, EncoderOutput, FeedForward, ModelConfig,
+                          MultiHeadAttention, SpeechTranslator,
+                          TransformerDecoderLayer, TransformerEncoderLayer,
+                          _EncoderStack, add_absolute_positions, causal_mask,
+                          downsampled_length, relative_position_index,
+                          sinusoidal_positions)
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor, grad_check, layer_norm
+from tinyst.tensor import Tensor, dropout, grad_check, layer_norm
 from tinyst.text import BOS_ID
 
 
@@ -369,6 +373,69 @@ class TestDecoder:
         logits = model.decoder_step(enc, np.array([[BOS_ID, 5]]))
         probs = logits.softmax(axis=-1).data
         np.testing.assert_allclose(probs, 1.0 / 7.0, atol=1e-12)
+
+
+_X = np.random.default_rng(40).normal(size=(2, 5, 8))
+_MEMORY = Tensor(np.random.default_rng(41).normal(size=(2, 3, 8)))
+
+# Each block that takes `drop`, built and called on (2, 5, 8) input.
+BLOCKS = {
+    "attention": (lambda: MultiHeadAttention(8, 2, RngStream(1), max_rel=2),
+                  lambda m, x, **kw: m(x, x, causal=True, **kw)),
+    "ffn": (lambda: FeedForward(8, 16, RngStream(2)),
+            lambda m, x, **kw: m(x, **kw)),
+    "conv": (lambda: ConvModule(8, 3, RngStream(3)),
+             lambda m, x, **kw: m(x, **kw)),
+    "encoder_layer": (lambda: TransformerEncoderLayer(tiny_cfg(), RngStream(4)),
+                      lambda m, x, **kw: m(x, **kw)),
+    "conformer_block": (lambda: ConformerBlock(tiny_cfg(variant="conformer"),
+                                               RngStream(5)),
+                        lambda m, x, **kw: m(x, **kw)),
+    "encoder_stack": (lambda: _EncoderStack(tiny_cfg(), 2, RngStream(6),
+                                            conformer=True, max_rel=2),
+                      lambda m, x, **kw: m(x, **kw)),
+    "decoder_layer": (lambda: TransformerDecoderLayer(tiny_cfg(), RngStream(7),
+                                                      max_rel=2),
+                      lambda m, x, **kw: m(x, _MEMORY, **kw)),
+}
+
+
+class TestDropoutStream:
+    """Dropout is on exactly when a stream is given."""
+
+    def test_forward_with_stream_drops_and_repeats_per_seed(self):
+        model = SpeechTranslator(tiny_cfg(variant="sate", enc_layers=3,
+                                          acoustic_layers=2, dropout=0.3),
+                                 RngStream(8))
+        feats = Tensor(np.random.default_rng(42).normal(size=(2, 12, 80)))
+        prefix = np.array([[BOS_ID, 5, 6], [BOS_ID, 6, 5]])
+        evaluated, eval_enc = model.forward(feats, prefix)
+        trained, enc = model.forward(feats, prefix, rng=RngStream(3))
+        again, enc_again = model.forward(feats, prefix, rng=RngStream(3))
+        other, _ = model.forward(feats, prefix, rng=RngStream(4))
+        assert not np.array_equal(trained.data, evaluated.data)
+        assert not np.array_equal(enc.ctc_logits.data, eval_enc.ctc_logits.data)
+        np.testing.assert_array_equal(again.data, trained.data)
+        np.testing.assert_array_equal(enc_again.ctc_logits.data, enc.ctc_logits.data)
+        assert not np.array_equal(other.data, trained.data)
+
+    def test_zero_rate_with_stream_is_eval_mode(self):
+        model = SpeechTranslator(tiny_cfg(variant="conformer"), RngStream(9))
+        feats = Tensor(np.random.default_rng(43).normal(size=(1, 12, 80)))
+        prefix = np.array([[BOS_ID, 5, 6]])
+        np.testing.assert_array_equal(
+            model.forward(feats, prefix, rng=RngStream(3))[0].data,
+            model.forward(feats, prefix)[0].data)
+
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_block_without_drop_is_eval_mode(self, name):
+        build, call = BLOCKS[name]
+        block, x = build(), Tensor(_X)
+        plain = call(block, x).data
+        evaluated = call(block, x, drop=partial(dropout, p=0.3, rng=None)).data
+        trained = call(block, x, drop=partial(dropout, p=0.3, rng=RngStream(3))).data
+        np.testing.assert_array_equal(plain, evaluated)
+        assert not np.array_equal(plain, trained)
 
 
 class TestAdaptorAndParams:

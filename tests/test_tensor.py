@@ -1,5 +1,7 @@
 """Tests for the autodiff tensor core."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,16 +86,16 @@ class TestConvShapes:
                         w = Tensor(rng.normal(size=(k, 3, 2)))
                         if t_out <= 0:
                             with pytest.raises(ValueError):
-                                conv1d(x, w, stride=s, padding=p)
+                                conv1d(x[None], w, stride=s, padding=p)
                             continue
-                        out = conv1d(x, w, stride=s, padding=p)
-                        assert out.shape == (t_out, 2), (t, k, s, p)
+                        out = conv1d(x[None], w, stride=s, padding=p)
+                        assert out[0].shape == (t_out, 2), (t, k, s, p)
 
     def test_conv_matches_direct_sum(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(7, 3)))
         w = Tensor(rng.normal(size=(3, 3, 4)))
-        out = conv1d(x, w, stride=2, padding=1).data
+        out = conv1d(x[None], w, stride=2, padding=1)[0].data
         xp = np.pad(x.data, ((1, 1), (0, 0)))
         for ti in range(out.shape[0]):
             ref = sum(xp[2 * ti + kk] @ w.data[kk] for kk in range(3))
@@ -103,11 +105,19 @@ class TestConvShapes:
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(9, 4)))
         w = Tensor(rng.normal(size=(3, 4)))
-        out = depthwise_conv1d(x, w, padding=1).data
+        out = depthwise_conv1d(x[None], w, padding=1)[0].data
         xp = np.pad(x.data, ((1, 1), (0, 0)))
         for ti in range(9):
             ref = sum(xp[ti + kk] * w.data[kk] for kk in range(3))
             np.testing.assert_allclose(out[ti], ref, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (1, 1, 5, 2)])
+    def test_input_must_be_batch_time_channels(self, shape):
+        x = Tensor(np.ones(shape))
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            conv1d(x, Tensor(np.ones((3, 2, 2))))
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            depthwise_conv1d(x, Tensor(np.ones((3, 2))))
 
     def test_downsample_edge_lengths(self):
         # two stride-2 kernel-3 pad-1 convs: T -> ceil(T/2) -> ceil(T/4)
@@ -115,10 +125,10 @@ class TestConvShapes:
         w1 = Tensor(rng.normal(size=(3, 2, 2)))
         for t in (1, 2, 3, 4, 5, 63, 64):
             x = Tensor(rng.normal(size=(t, 2)))
-            h = conv1d(x, w1, stride=2, padding=1)
-            assert h.shape[0] == -(-t // 2)
+            h = conv1d(x[None], w1, stride=2, padding=1)
+            assert h[0].shape[0] == -(-t // 2)
             h2 = conv1d(h, w1, stride=2, padding=1)
-            assert h2.shape[0] == -(-(-(-t // 2)) // 2)
+            assert h2[0].shape[0] == -(-(-(-t // 2)) // 2)
 
 
 class TestBackward:
@@ -207,8 +217,9 @@ class TestGradCheckPerOp:
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=(2,)), requires_grad=True)
-        err = grad_check(lambda: (conv1d(x, w, b, stride=2, padding=1) ** 2.0).sum(),
-                         [x, w, b])
+        err = grad_check(
+            lambda: (conv1d(x[None], w, b, stride=2, padding=1)[0] ** 2.0).sum(),
+            [x, w, b])
         assert err < 1e-4
 
     def test_depthwise_conv1d_gradient(self):
@@ -217,7 +228,8 @@ class TestGradCheckPerOp:
         w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
         err = grad_check(
-            lambda: (depthwise_conv1d(x, w, b, padding=2).swish() ** 2.0).sum(), [x, w, b])
+            lambda: (depthwise_conv1d(x[None], w, b, padding=2)[0].swish() ** 2.0).sum(),
+            [x, w, b])
         assert err < 1e-4
 
     def test_batched_conv1d_gradient(self):
@@ -231,20 +243,20 @@ class TestGradCheckPerOp:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        y = T.dropout(x, 0.5, RngStream(0), training=False)
+        y = T.dropout(x, 0.5, None)
         assert y is x
 
     def test_training_scales_survivors(self):
         rng = RngStream(123)
         x = Tensor(np.ones((100, 100)))
-        y = T.dropout(x, 0.4, rng, training=True).data
+        y = T.dropout(x, 0.4, rng).data
         kept = y[y != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.6)
         assert abs(kept.size / y.size - 0.6) < 0.02
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            T.dropout(Tensor(np.ones(3)), 1.0, RngStream(0), training=True)
+            T.dropout(Tensor(np.ones(3)), 1.0, RngStream(0))
 
 
 class TestRngStream:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tinyst import training
+from tinyst.config import format_value
 from tinyst.data import Sample
 from tinyst.model import ModelConfig, SpeechTranslator
 from tinyst.rng import RngStream
@@ -187,7 +188,8 @@ class TestCheckpointIO:
             assert entries[name].dtype == np.float32
             assert entries[name].shape == arr.shape
             np.testing.assert_array_equal(entries[name], arr.astype(np.float32))
-        assert got_meta == meta
+        # Metadata loads as the text that was written.
+        assert got_meta == {k: format_value(v) for k, v in meta.items()}
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -238,8 +240,14 @@ class TestConfigMetadata:
     def test_digest_detects_tampering(self):
         cfg = ModelConfig(vocab_size=31)
         meta = config_metadata(cfg)
-        meta["config.hidden"] = meta["config.hidden"] * 2
+        meta["config.hidden"] = str(int(meta["config.hidden"]) * 2)
         with pytest.raises(ValueError, match="digest"):
+            config_from_metadata(meta)
+
+    def test_value_of_wrong_type_names_its_key(self):
+        meta = config_metadata(ModelConfig(vocab_size=31))
+        meta["config.hidden"] = "2.5"
+        with pytest.raises(ValueError, match=r"config\.hidden = 2\.5 is not a valid int"):
             config_from_metadata(meta)
 
     def test_removed_option_is_named_not_blamed_on_digest(self, tmp_path):
@@ -275,12 +283,24 @@ class TestModelCheckpoint:
         path = tmp_path / "m.ckpt"
         save_model(path, model, step=12, epoch=2)
         loaded, meta = load_model(path)
-        assert meta["step"] == 12 and meta["epoch"] == 2
+        assert meta["step"] == "12" and meta["epoch"] == "2"
         orig = dict(model.named_parameters())
         for name, p in loaded.named_parameters():
             # Values survive exactly at stored (float32) precision.
             np.testing.assert_array_equal(
                 p.data, orig[name].data.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize("vocab, digest", [(203, "3149255329814175"),
+                                               (127, "67739675e6142625")])
+    def test_digest_that_looks_like_a_number_loads(self, tmp_path, vocab, digest):
+        # An all-digit digest, or digits around one `e`, must stay text.
+        cfg = ModelConfig(vocab_size=vocab, enc_layers=2, dec_layers=1,
+                          hidden=8, heads=2, ffn=16)
+        assert config_digest(cfg) == digest
+        path = tmp_path / "m.ckpt"
+        save_model(path, SpeechTranslator(cfg, RngStream(0)), step=1, epoch=1)
+        loaded, meta = load_model(path)
+        assert loaded.cfg == cfg and meta["config_digest"] == digest
 
     def test_adaptor_mix_embeddings_through_whole_model(self, tmp_path):
         cfg = ModelConfig(vocab_size=15, variant="sate", enc_layers=2,
@@ -399,6 +419,10 @@ class TestAveraging:
         assert [p.split("epoch")[-1] for p in picked] == (
             [f"{e:04d}.ckpt" for e in range(3, 13)])
         assert len(final_checkpoints(tmp_path, window=20)) == 12
+        assert len(final_checkpoints(tmp_path, window=1)) == 1
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="window"):
+                final_checkpoints(tmp_path, window=bad)
 
 
 def _toy_samples(n=10, seed=3):
@@ -471,7 +495,7 @@ class TestTrainLoop:
         assert [p.split("/")[-1] for p in paths] == ["epoch0001.ckpt",
                                                      "epoch0002.ckpt"]
         loaded, meta = load_model(paths[-1])
-        assert meta["epoch"] == 2
+        assert meta["epoch"] == "2"
         orig = dict(model.named_parameters())
         for name, p in loaded.named_parameters():
             np.testing.assert_array_equal(
