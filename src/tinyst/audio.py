@@ -211,18 +211,29 @@ def load_features(path) -> np.ndarray:
 def read_wav(path):
     """Read a mono 16-bit PCM WAV file.
 
+    A file cut short, in its header or its samples, is rejected with its path.
+
     Returns:
         (samples, sample_rate) with samples as float64 in [-1, 1).
     """
-    with wave.open(str(path), "rb") as wf:
+    try:
+        wf = wave.open(str(path), "rb")
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable WAV file "
+                         f"({str(exc) or 'header cut short'})") from None
+    with wf:
         if wf.getnchannels() != 1:
             raise ValueError(f"{path}: expected mono audio, got "
                              f"{wf.getnchannels()} channels")
         if wf.getsampwidth() != 2:
             raise ValueError(f"{path}: expected 16-bit samples, got "
                              f"{8 * wf.getsampwidth()}-bit")
-        raw = wf.readframes(wf.getnframes())
+        n_frames = wf.getnframes()
+        raw = wf.readframes(n_frames)
         rate = wf.getframerate()
+    if len(raw) != 2 * n_frames:
+        raise ValueError(f"{path}: truncated WAV, {len(raw)} of the "
+                         f"{2 * n_frames} sample bytes its header declares")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return samples, rate
 

@@ -23,7 +23,6 @@ from .model import ModelConfig, SpeechTranslator
 from .rng import RngStream
 from .tensor import (
     Tensor,
-    concat,
     conv1d,
     depthwise_conv1d,
     dropout,
@@ -87,8 +86,6 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
     check("transpose", lambda: (x.transpose() @ m1).sum(), [x, m1])
     check("getitem", lambda: (x[1:, ::2] * 2.0).sum()
           + x[(np.array([0, 2]), np.array([1, 1]))].sum(), [x])
-    check("concat", lambda: concat([a, b, a * b], axis=1).logsumexp(axis=1).sum(),
-          [a, b])
     check("stack", lambda: stack([a, b, a + b], axis=1).logsumexp(axis=2).sum(),
           [a, b])
 

@@ -59,6 +59,8 @@ def read_config(path) -> dict:
             key = key.strip()
             if not key:
                 raise ValueError(f"{path}:{n}: empty key")
+            if key in out:
+                raise ValueError(f"{path}:{n}: repeated key {key!r}")
             out[key] = raw.strip()
     return out
 

@@ -2,17 +2,18 @@
 
 The CTC forward algorithm runs entirely in log-space on the autodiff graph,
 so its gradient is exact rather than hand-derived.  Dead dynamic-programming
-cells hold LOG_ZERO instead of -inf; they lose against any live cell inside
-logsumexp by a margin far beyond float range, so they contribute exactly
-zero probability and exactly zero gradient while every intermediate stays
-finite.
+cells hold LOG_ZERO instead of -inf, and a masked predecessor holds LOG_ZERO
+plus a finite amount (the cell it gathered, itself possibly LOG_ZERO).  Both
+lose against any live cell inside logsumexp by a margin far beyond float
+range, so they contribute exactly zero probability and exactly zero gradient
+while every intermediate stays finite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import LOG_ZERO, Tensor, concat, stack
+from .tensor import LOG_ZERO, Tensor
 from .text import BLANK_ID, PAD_ID
 
 
@@ -63,38 +64,25 @@ def ctc_loss_batch(log_probs: Tensor, targets, blank: int = BLANK_ID) -> Tensor:
     length = lengths.pop() if lengths else 0
     s = 2 * length + 1
 
-    # Blank-extended targets and the positions allowed to skip a blank.
-    ext = np.full((b, s), blank, dtype=np.intp)
+    ext = np.full((b, s), blank, dtype=np.intp)  # blank-extended targets
     for i, tgt in enumerate(targets):
         ext[i, 1::2] = tgt
-    allowed_skip = np.zeros((b, s))
-    if s >= 3:
-        labels = ext[:, 2:]
-        allowed_skip[:, 2:] = (labels != blank) & (labels != ext[:, :-2])
+
+    # Cell j's stay, step and skip predecessors are j, j-1 and j-2, clamped
+    # into range.  The additive mask drops those that do not exist and the
+    # skips that are not allowed: into a blank, or between repeated labels.
+    pred = np.arange(s)[:, None] - np.arange(3)
+    src = np.maximum(pred, 0)
+    live = np.broadcast_to(pred >= 0, (b, s, 3)).copy()
+    live[:, :, 2] &= (ext != blank) & (ext != ext[:, src[:, 2]])
+    mask = Tensor(np.where(live, 0.0, LOG_ZERO))
 
     rows = np.arange(b)[:, None]
-    init_mask = np.zeros((1, s))
-    init_mask[0, :min(2, s)] = 1.0
-    log_zero_row = Tensor(np.full((b, s), LOG_ZERO))
-
-    emit0 = log_probs[(rows, 0, ext)]
-    alpha = emit0 * init_mask + Tensor((1.0 - init_mask) * LOG_ZERO)
+    start = np.where(np.arange(s) < 2, 0.0, LOG_ZERO)
+    alpha = log_probs[(rows, 0, ext)] + start
     for t in range(1, t_max):
-        stay = alpha
-        step = concat([log_zero_row[:, :1], alpha[:, :-1]], axis=1)
-        if s >= 3:
-            skip = concat([log_zero_row[:, :2], alpha[:, :-2]], axis=1)
-            skip = skip * allowed_skip + Tensor((1.0 - allowed_skip) * LOG_ZERO)
-            paths = stack([stay, step, skip], axis=0)
-        else:
-            paths = stack([stay, step], axis=0)
-        alpha = paths.logsumexp(axis=0) + log_probs[(rows, t, ext)]
-
-    if s >= 2:
-        tail = stack([alpha[:, s - 1], alpha[:, s - 2]], axis=0).logsumexp(axis=0)
-    else:
-        tail = alpha[:, 0]
-    return -tail
+        alpha = (alpha[:, src] + mask).logsumexp(axis=2) + log_probs[(rows, t, ext)]
+    return -alpha[:, max(s - 2, 0):].logsumexp(axis=1)
 
 
 def ctc_loss(log_probs: Tensor, target, blank: int = BLANK_ID) -> Tensor:

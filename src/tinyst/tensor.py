@@ -427,24 +427,6 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _tracking(*tensors):
-        return Tensor(out)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
-
-    return Tensor._from_op(out, tuple(tensors), backward)
-
-
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = np.stack([t.data for t in tensors], axis=axis)

@@ -233,16 +233,20 @@ def average_checkpoints(paths: list):
     """Elementwise mean of parameter entries across checkpoints.
 
     Accumulation runs in sorted-path order in float64, so the result is
-    invariant to the order of `paths`.  Metadata records the source list.
+    invariant to the order of `paths`.  Metadata comes from the source with
+    the highest epoch, so fine-tuning from the average numbers its epochs
+    after every source; it also records the source list.
     """
     if not paths:
         raise ValueError("no checkpoints to average")
     ordered = sorted(str(p) for p in paths)
     total = {}
     shapes = {}
-    base_meta = None
+    base_meta = newest = None
     for path in ordered:
         entries, meta = load_checkpoint(path)
+        if newest is None or int(meta.get("epoch", 0)) > int(newest.get("epoch", 0)):
+            newest = meta
         if base_meta is None:
             base_meta = meta
             shapes = {n: a.shape for n, a in entries.items()}
@@ -260,7 +264,7 @@ def average_checkpoints(paths: list):
         for n, a in entries.items():
             total[n] += a.astype(np.float64)
     averaged = {n: (t / len(ordered)).astype(np.float32) for n, t in total.items()}
-    meta = dict(base_meta)
+    meta = dict(newest)
     meta["averaged_from"] = ";".join(os.path.basename(p) for p in ordered)
     meta["averaged_count"] = len(ordered)
     return averaged, meta

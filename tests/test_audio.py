@@ -206,3 +206,18 @@ class TestWavIO:
             wf.writeframes(b"\x00" * 64)
         with pytest.raises(ValueError, match="mono"):
             read_wav(p)
+
+    @pytest.mark.parametrize("keep, error", [
+        (20044, "truncated WAV"),
+        (20045, "truncated WAV"),
+        (30, "not a readable WAV"),
+        (40, "not a readable WAV"),
+    ], ids=["whole-samples-cut", "cut-inside-a-sample", "cut-inside-a-chunk-header",
+            "data-chunk-missing"])
+    def test_truncated_file_rejected_by_name(self, tmp_path, keep, error):
+        p = tmp_path / "cut.wav"
+        write_wav(p, np.full(16000, 0.1), 16000)  # 44-byte header + 32000 bytes
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=error) as exc:
+            read_wav(p)
+        assert "cut.wav" in str(exc.value)

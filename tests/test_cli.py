@@ -18,7 +18,7 @@ from tinyst.model import ModelConfig
 from tinyst.rng import RngStream
 from tinyst.text import normalize_for_ctc
 from tinyst.toy import ToyTaskConfig
-from tinyst.training import TrainConfig, load_model
+from tinyst.training import TrainConfig, load_checkpoint, load_model, save_model
 
 
 # A model small enough to train a step in well under a second.
@@ -113,9 +113,9 @@ class TestTrainCommands:
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
 
-    def _train_with_config(self, workspace, tmp_path, text):
+    def _train_with_config(self, workspace, tmp_path, text, base=TINY_CONF):
         conf = tmp_path / "run.conf"
-        conf.write_text(TINY_CONF + text)
+        conf.write_text(base + text)
         return main(["train", "--manifest", str(workspace["prep"] / "train.tsv"),
                      "--subwords", str(workspace["prep"]),
                      "--out", str(tmp_path / "run"), "--config", str(conf),
@@ -131,7 +131,8 @@ class TestTrainCommands:
 
     def test_config_value_of_wrong_type_names_key_and_file(
             self, workspace, tmp_path, capsys):
-        assert self._train_with_config(workspace, tmp_path, "hidden = 2.5\n") == 1
+        assert self._train_with_config(workspace, tmp_path, "hidden = 2.5\n",
+                                       TINY_CONF.replace("hidden = 8\n", "")) == 1
         err = capsys.readouterr().err
         assert "hidden = 2.5" in err and "run.conf" in err
         assert "divisible" not in err
@@ -168,6 +169,27 @@ class TestTrainCommands:
                      "--subwords", str(workspace["prep"]), "--out", str(out),
                      "--epochs", "1", "--max-steps", "2"]) == 0
         assert (out / "epoch0003.ckpt").exists()
+
+    def test_finetune_from_average_continues_after_newest_source(
+            self, workspace, tmp_path):
+        model, _ = load_model(workspace["run"] / "epoch0002.ckpt")
+        run = tmp_path / "run"
+        run.mkdir()
+        for epoch in (3, 4, 5):
+            save_model(run / f"epoch{epoch:04d}.ckpt", model, step=10 * epoch,
+                       epoch=epoch)
+        sources = {p.name: p.read_bytes() for p in run.iterdir()}
+        avg = run / "avg.ckpt"
+        assert main(["average", "--run-dir", str(run), "--out", str(avg)]) == 0
+        _, meta = load_checkpoint(avg)
+        assert (meta["epoch"], meta["step"]) == ("5", "50")
+        assert main(["finetune", "--checkpoint", str(avg),
+                     "--manifest", str(workspace["prep"] / "train.tsv"),
+                     "--subwords", str(workspace["prep"]), "--out", str(run),
+                     "--epochs", "1", "--max-steps", "2"]) == 0
+        assert (run / "epoch0006.ckpt").exists()
+        assert all((run / name).read_bytes() == data
+                   for name, data in sources.items())
 
 
 class TestDecodeCommands:

@@ -50,6 +50,12 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="empty key"):
             read_config(p)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "c.conf"
+        p.write_text("hidden = 8\nheads = 2\nhidden = 16\n")
+        with pytest.raises(ValueError, match=r"c\.conf:3: repeated key 'hidden'"):
+            read_config(p)
+
     def test_float_precision_survives(self, tmp_path):
         p = tmp_path / "c.conf"
         write_config(p, {"lr": 0.1 + 0.2})

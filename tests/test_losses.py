@@ -114,6 +114,20 @@ class TestCtcProperties:
                                    blank=0).sum(), [x])
         assert err < 1e-4
 
+    def test_long_time_axis_gradient_is_one_path_per_frame(self):
+        # Each alignment path occupies exactly one state per frame, so the
+        # gradient of the loss sums to -1 over the vocabulary at every frame.
+        # Over 188 frames most cells stay dead for a long stretch.
+        rng = np.random.default_rng(10)
+        b, t, v, length = 2, 188, 60, 62
+        lp = Tensor(np.stack([random_log_probs(rng, t, v) for _ in range(b)]),
+                    requires_grad=True)
+        targets = [list(rng.integers(1, v, size=length)) for _ in range(b)]
+        loss = ctc_loss_batch(lp, targets, blank=0)
+        assert np.isfinite(loss.data).all()
+        loss.sum().backward()
+        np.testing.assert_allclose(lp.grad.sum(axis=-1), -1.0, rtol=0, atol=1e-9)
+
 
 class TestLabelSmoothedCe:
     def test_uniform_logits_give_log_v(self):
