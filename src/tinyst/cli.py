@@ -27,7 +27,7 @@ from dataclasses import fields
 from .audio import (FrontendConfig, filter_utterances, logmel, read_wav,
                     save_features)
 from .checks import ctc_oracle_sweep, op_gradcheck_sweep, tiny_multitask_gradcheck
-from .config import converter, format_value, read_config, settings
+from .config import converter, format_value, parse_settings, read_config, settings
 from .data import ManifestEntry, load_dataset, read_manifest, write_manifest
 from .decoding import (
     DecodeConfig,
@@ -108,18 +108,7 @@ def _config_file(args, classes) -> dict:
     if not args.config:
         return {}
     types = {f.name: typ for cls in classes for f, typ in settings(cls)}
-    raw = read_config(args.config)
-    unknown = sorted(set(raw) - set(types))
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config keys {unknown}")
-    values = {}
-    for key, text in raw.items():
-        try:
-            values[key] = converter(types[key])(text)
-        except ValueError:
-            raise ValueError(f"{args.config}: {key} = {text} is not a valid "
-                             f"{types[key].__name__}") from None
-    return values
+    return parse_settings(read_config(args.config), types, args.config)
 
 
 def _merged(args, cls, file_values: dict) -> dict:
@@ -315,11 +304,10 @@ def cmd_bleu(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     worst_name, worst = "", 0.0
-    if not args.skip_ops:
-        for name, err in op_gradcheck_sweep(seed=args.seed, eps=args.eps).items():
-            print(f"op {name}: {err:.3e}")
-            if err > worst:
-                worst_name, worst = name, err
+    for name, err in op_gradcheck_sweep(seed=args.seed, eps=args.eps).items():
+        print(f"op {name}: {err:.3e}")
+        if err > worst:
+            worst_name, worst = name, err
     if not args.skip_model:
         model_err = tiny_multitask_gradcheck(eps=args.eps, seed=args.seed)
         print(f"tiny multitask model: {model_err:.3e}")
@@ -368,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory for checkpoints")
     p.add_argument("--config", help="flat key = value settings file")
     p.add_argument("--max-steps", type=int,
-                   help="stop after this many optimizer steps")
+                   help="stop after this many optimizer steps, >= 1")
     _add_flags(p, ModelConfig)
     _add_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
@@ -381,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="flat key = value training settings file")
     p.add_argument("--max-steps", type=int,
-                   help="stop after this many optimizer steps")
+                   help="stop after this many optimizer steps, >= 1")
     _add_flags(p, TrainConfig)
     p.set_defaults(func=cmd_finetune)
 
@@ -426,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--skip-ops", action="store_true",
-                   help="check only the whole-model loss")
     p.add_argument("--skip-model", action="store_true",
                    help="check only the per-op sweep (fast)")
     p.set_defaults(func=cmd_gradcheck)
@@ -435,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ctc-oracle",
                        help="CTC recurrence vs brute-force enumeration")
     p.add_argument("--trials", type=int, default=100,
-                   help="random distributions per shape combination (100)")
+                   help="random distributions per shape combination, "
+                        ">= 1 (100)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-8)
     p.set_defaults(func=cmd_ctc_oracle)

@@ -2,11 +2,12 @@
 a setting's text to its dataclass field's type.
 
 A config file holds one `key = value` per line; `#` starts a comment.
-`read_config` returns each value as the text that was written.  Flags,
-config files and checkpoint metadata all convert that text with
-`converter(field type)`, so `hidden = 2.5` is rejected as an int the same
-way everywhere and a digest that looks like a number stays text.  CLI flags
-override file values; that merge happens in the CLI layer.
+`read_config` returns each value as the text that was written.  Flags
+convert that text with `converter(field type)`; config files and checkpoint
+metadata go through `parse_settings`, which does the same per key.  So
+`hidden = 2.5` is rejected as an int the same way everywhere and a digest
+that looks like a number stays text.  CLI flags override file values; that
+merge happens in the CLI layer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,26 @@ def boolean(text: str) -> bool:
 def converter(typ):
     """The function that turns a setting's text into a value of `typ`."""
     return boolean if typ is bool else typ
+
+
+def parse_settings(texts: dict, types: dict, source: str, prefix: str = "",
+                   kind: str = "config") -> dict:
+    """{field name: value} for the keys of `texts` that start with `prefix`,
+    each converted by the type `types` gives the rest of the key.  A key
+    that names no field is rejected; every error begins with `source`."""
+    named = {key[len(prefix):]: text for key, text in texts.items()
+             if key.startswith(prefix)}
+    unknown = sorted(set(named) - set(types))
+    if unknown:
+        raise ValueError(f"{source}: unknown {kind} keys {unknown}")
+    values = {}
+    for name, text in named.items():
+        try:
+            values[name] = converter(types[name])(text)
+        except ValueError:
+            raise ValueError(f"{source}: {prefix}{name} = {text} is not a valid "
+                             f"{types[name].__name__}") from None
+    return values
 
 
 def settings(cls) -> list:

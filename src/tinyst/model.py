@@ -131,14 +131,13 @@ def xavier_uniform(rng: RngStream, shape, fan_in: int, fan_out: int) -> np.ndarr
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: RngStream, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: RngStream):
         self.weight = Tensor(xavier_uniform(rng, (d_in, d_out), d_in, d_out),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        return y + self.bias if self.bias is not None else y
+        return x @ self.weight + self.bias
 
 
 class Embedding(Module):
@@ -250,7 +249,6 @@ class MultiHeadAttention(Module):
         attn = drop(attn)
         ctx = attn @ v
         if self.max_rel is not None:
-            idx = relative_position_index(tq, tk, self.max_rel)
             rel_v = self.rel_v[idx]  # (Tq, Tk, d_head)
             at = attn.transpose(2, 0, 1, 3).reshape(tq, b * self.heads, 1, tk)
             crel = at @ rel_v.reshape(tq, 1, tk, self.d_head)

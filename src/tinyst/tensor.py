@@ -1,10 +1,12 @@
 """N-dimensional float64 tensors with reverse-mode automatic differentiation.
 
-Every model, loss, and regularizer in this package is composed from the
-operations defined here, so a single finite-difference checker
-(:func:`grad_check`) can exercise the whole system end to end.  Values are
-immutable after creation except for the gradient accumulator; the graph is
-dynamic, built afresh on every forward pass.
+The module defines the ops that the model, the losses and the
+gradient-check probes use, and no others.  Every model, loss and
+regularizer in this package is composed from them, so a single
+finite-difference checker (:func:`grad_check`) can exercise the whole
+system end to end.  Values are immutable after creation except for the
+gradient accumulator; the graph is dynamic, built afresh on every forward
+pass.
 
 All arithmetic is 64-bit.  ``LOG_ZERO`` is used as the additive identity for
 log-space masking instead of a true -inf: it behaves like "impossible" under
@@ -14,7 +16,6 @@ passes NaN-free.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,21 +91,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    def __float__(self):
-        return self.item()
-
-    def __len__(self):
-        return self.data.shape[0]
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -182,44 +168,9 @@ class Tensor:
     def __neg__(self):
         return self * -1.0
 
-    def __sub__(self, other):
-        other = as_tensor(other)
-        out = self.data - other.data
-        if not _tracking(self, other):
-            return Tensor(out)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g, other.data.shape))
-
-        return Tensor._from_op(out, (self, other), backward)
-
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out = self.data / other.data
-        if not _tracking(self, other):
-            return Tensor(out)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g * self.data / (other.data * other.data),
-                                          other.data.shape))
-
-        return Tensor._from_op(out, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
     def __pow__(self, exponent: float):
         if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log")
+            raise TypeError("tensor exponents are not supported")
         out = self.data ** exponent
         if not _tracking(self):
             return Tensor(out)
@@ -251,26 +202,6 @@ class Tensor:
 
     # -- elementwise nonlinearities ------------------------------------------
 
-    def exp(self):
-        out = np.exp(self.data)
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            self._accum(g * out)
-
-        return Tensor._from_op(out, (self,), backward)
-
-    def log(self):
-        out = np.log(self.data)
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            self._accum(g / self.data)
-
-        return Tensor._from_op(out, (self,), backward)
-
     def sigmoid(self):
         x = self.data
         out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.maximum(x, 0))),
@@ -299,41 +230,33 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        out = self.data.sum(axis=axis)
         if not _tracking(self):
             return Tensor(out)
         shape = self.data.shape
 
         def backward(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
+            gg = g if axis is None else np.expand_dims(g, axis)
             self._accum(np.broadcast_to(gg, shape).copy())
 
         return Tensor._from_op(out, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        elif isinstance(axis, tuple):
-            count = math.prod(self.data.shape[a] for a in axis)
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self, axis: int | None = None):
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis) * (1.0 / count)
 
-    def logsumexp(self, axis: int, keepdims: bool = False):
+    def logsumexp(self, axis: int):
         """log(sum(exp(x))) along `axis`, computed with max-subtraction."""
         x = self.data
         m = x.max(axis=axis, keepdims=True)
         out_kd = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
-        out = out_kd if keepdims else np.squeeze(out_kd, axis=axis)
+        out = np.squeeze(out_kd, axis=axis)
         if not _tracking(self):
             return Tensor(out)
 
         def backward(g):
-            gg = g if keepdims else np.expand_dims(g, axis)
-            self._accum(gg * np.exp(x - out_kd))
+            self._accum(np.expand_dims(g, axis) * np.exp(x - out_kd))
 
         return Tensor._from_op(out, (self,), backward)
 
@@ -442,14 +365,12 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out, tuple(tensors), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
-    Constant rows come out as approximately `bias`: the eps in the variance
-    keeps the division finite.
+    Constant rows come out as approximately `bias`: the 1e-5 added to the
+    variance keeps the division finite.
     """
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be positive, got {eps}")
     gain, bias = as_tensor(gain), as_tensor(bias)
     dim = x.data.shape[-1]
     if gain.data.shape != (dim,) or bias.data.shape != (dim,):
@@ -458,7 +379,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
     out = gain.data * xhat + bias.data
     if not _tracking(x, gain, bias):
@@ -578,17 +499,14 @@ def dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
     return x * Tensor(mask)
 
 
-def glu(x: Tensor, axis: int = -1) -> Tensor:
-    """Gated linear unit: split `axis` in half, gate the first half by the second."""
-    dim = x.data.shape[axis]
+def glu(x: Tensor) -> Tensor:
+    """Gated linear unit: split the last axis in half, gate the first half by
+    the second."""
+    dim = x.data.shape[-1]
     if dim % 2 != 0:
         raise ValueError(f"glu needs an even dimension, got {dim}")
     half = dim // 2
-    sl_a = [slice(None)] * x.data.ndim
-    sl_b = [slice(None)] * x.data.ndim
-    sl_a[axis] = slice(0, half)
-    sl_b[axis] = slice(half, dim)
-    return x[tuple(sl_a)] * x[tuple(sl_b)].sigmoid()
+    return x[..., :half] * x[..., half:].sigmoid()
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:

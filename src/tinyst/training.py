@@ -25,7 +25,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .audio import N_MELS, spec_augment
-from .config import converter, format_value
+from .config import format_value, parse_settings
 from .data import drop_ctc_infeasible, make_batches
 from .losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
 from .model import ModelConfig, SpeechTranslator
@@ -179,20 +179,9 @@ def config_from_metadata(metadata: dict) -> ModelConfig:
     """Rebuild the model configuration from `config.*` text, each value
     converted by its field's type; a key that names no ModelConfig field
     (for example one of a removed option) is rejected."""
-    types = get_type_hints(ModelConfig)
-    texts = {key[len("config."):]: text for key, text in metadata.items()
-             if key.startswith("config.")}
-    unknown = sorted(set(texts) - set(types))
-    if unknown:
-        raise ValueError(f"checkpoint has unknown model config keys {unknown}")
-    kwargs = {}
-    for name, text in texts.items():
-        try:
-            kwargs[name] = converter(types[name])(text)
-        except ValueError:
-            raise ValueError(f"checkpoint config.{name} = {text} is not a valid "
-                             f"{types[name].__name__}") from None
-    cfg = ModelConfig(**kwargs)
+    cfg = ModelConfig(**parse_settings(metadata, get_type_hints(ModelConfig),
+                                       "checkpoint", prefix="config.",
+                                       kind="model config"))
     stored = metadata.get("config_digest")
     if stored is not None and stored != config_digest(cfg):
         raise ValueError("checkpoint metadata fails its own config digest")
@@ -358,7 +347,10 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
     loss, backward, Adam step; one checkpoint per epoch when `out_dir` is
     given.  CTC-infeasible samples are dropped once up front with a count.
     `log` is called with each metric line (use print or file.write).
+    `max_steps`, when given, is at least 1.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     usable, dropped = drop_ctc_infeasible(samples)
     if not usable:
         raise ValueError("no trainable samples after CTC feasibility filtering")

@@ -302,6 +302,18 @@ class TestCheckCommands:
         out = capsys.readouterr().out
         assert "op conv1d" in out and "max relative error" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-4"])
+    def test_ctc_oracle_without_trials_is_an_error(self, trials, capsys):
+        assert main(["ctc-oracle", "--trials", trials]) == 1
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+    def test_gradcheck_always_runs_the_op_sweep(self):
+        # With the sweep skippable, `--skip-ops --skip-model` checked nothing
+        # and still passed.
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--skip-ops", "--skip-model"])
+        assert exc.value.code == 2
+
     def test_failing_threshold_exits_nonzero(self, capsys):
         code = main(["ctc-oracle", "--trials", "1", "--threshold", "1e-20"])
         assert code == 1

@@ -47,12 +47,11 @@ def _ops_in_tensor_module() -> set:
     return ops
 
 
-def test_gradient_check_sweep_reaches_every_op(monkeypatch):
-    from tinyst.checks import op_gradcheck_sweep
+def _record_ops(monkeypatch) -> set:
+    """Patch `Tensor._from_op` to add the op behind each new graph node to
+    the returned set."""
     from tinyst.tensor import Tensor
 
-    ops = _ops_in_tensor_module()
-    assert {"Tensor.__add__", "conv1d", "layer_norm"} <= ops
     reached = set()
     real = Tensor._from_op
 
@@ -61,5 +60,35 @@ def test_gradient_check_sweep_reaches_every_op(monkeypatch):
         return real(data, parents, backward)
 
     monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
+    return reached
+
+
+def test_gradient_check_sweep_reaches_every_op(monkeypatch):
+    from tinyst.checks import op_gradcheck_sweep
+
+    ops = _ops_in_tensor_module()
+    assert {"Tensor.__add__", "conv1d", "layer_norm"} <= ops
+    reached = _record_ops(monkeypatch)
     op_gradcheck_sweep()
     assert not ops - reached, f"ops no gradient check reaches: {sorted(ops - reached)}"
+
+
+def test_training_reaches_every_op_but_the_probe_power(monkeypatch):
+    # An op that no training step runs is dead weight in the autodiff core.
+    # `**` stays for the gradient-check probes, which square their outputs.
+    from tinyst.data import Sample
+    from tinyst.model import VARIANTS, ModelConfig, SpeechTranslator
+    from tinyst.rng import RngStream
+    from tinyst.training import TrainConfig, train
+
+    ops = _ops_in_tensor_module() - {"Tensor.__pow__"}
+    reached = _record_ops(monkeypatch)
+    feats = RngStream(5).normal(0.0, 1.0, size=(16, 80))
+    sample = Sample("u0", feats, [6, 7], [6, 7, 8])
+    for variant in VARIANTS:
+        cfg = ModelConfig(vocab_size=12, variant=variant, enc_layers=2,
+                          acoustic_layers=1, dec_layers=1, hidden=8, heads=2,
+                          ffn=16, conv_kernel=3, adaptor_mix_embeddings=True)
+        train(SpeechTranslator(cfg, RngStream(0)), [sample],
+              TrainConfig(epochs=1, clip_norm=1.0), max_steps=1)
+    assert not ops - reached, f"ops no training step reaches: {sorted(ops - reached)}"

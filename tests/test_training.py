@@ -473,6 +473,13 @@ class TestTrainLoop:
         steps = [line for line in lines if line.startswith("step=")]
         assert len(steps) == 3
 
+    @pytest.mark.parametrize("max_steps", [0, -2])
+    def test_max_steps_below_one_rejected(self, max_steps):
+        samples, _ = _toy_samples()
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            train(_tiny_model(), samples, TrainConfig(epochs=1, frame_budget=32),
+                  max_steps=max_steps)
+
     def test_infeasible_samples_reported(self):
         samples, _ = _toy_samples(n=6)
         # Too few frames for its labels: 4 frames -> 1 output frame.
