@@ -182,6 +182,8 @@ def cmd_prepare(args) -> int:
 
 
 def _run_training(args, model, subwords, cfg: TrainConfig, start_epoch: int) -> int:
+    if args.max_steps is not None and args.max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {args.max_steps}")
     samples = load_dataset(args.manifest, subwords)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.log")

@@ -1,12 +1,14 @@
 """Inference: beam search with length normalization, model ensembling, and
 greedy CTC collapse for encoder diagnostics.
 
-Every beam step scores all vocabulary extensions of every live hypothesis
-with `ensemble_log_prob` (a single model is the one-row case), keeps the
-top `beam` by cumulative log-probability, and retires hypotheses that emit
-eos into a finished pool ranked by normalized score.  Tie-breaking is fully
-specified (score, then smaller token id, then parent rank) so decoding is
-reproducible to the token.
+Every beam step feeds the newest token of all live hypotheses to each
+model as one (rows, 1) batch through that model's decoder cache, combines
+the (K, rows, V) log-probs with `ensemble_log_prob` (a single model is the
+K = 1 case), keeps the top `beam` extensions by cumulative log-probability,
+and retires hypotheses that emit eos into a finished pool ranked by
+normalized score.  The caches are then reordered to the surviving
+hypotheses' parents.  Tie-breaking is fully specified (score, then smaller
+token id, then parent rank) so decoding is reproducible to the token.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ def length_normalize(logprob: float, length: int, beta: float) -> float:
 
 
 def ensemble_log_prob(rows) -> np.ndarray:
-    """Combine K per-model log-prob rows by averaging probabilities in log
-    space: log((1/K) sum_k exp(row_k)), max-shifted for stability.
+    """Combine K per-model log-prob arrays, stacked on axis 0 as (K, V) or
+    (K, rows, V), by averaging probabilities in log space:
+    log((1/K) sum_k exp(row_k)), max-shifted for stability.
 
     Identical rows come back exactly (the shifted exponent is exp(0)), so an
     ensemble of one checkpoint repeated K times decodes identically to the
@@ -71,18 +74,31 @@ def ensemble_log_prob(rows) -> np.ndarray:
             raise ValueError(f"ensemble rows disagree on vocabulary size: "
                              f"{sorted(sizes)}")
     mat = np.asarray(rows, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.ndim != 2 or mat.shape[0] < 1:
+    if mat.ndim not in (2, 3) or mat.shape[0] < 1:
         raise ValueError(f"expected K rows over one vocabulary, got shape {mat.shape}")
     m = mat.max(axis=0)
     return m + np.log(np.exp(mat - m).mean(axis=0))
 
 
-def _step_distribution(models, prefix: np.ndarray) -> np.ndarray:
+def _step(models, caches, tokens: list) -> np.ndarray:
+    """Feed each live hypothesis's newest token to every model at once and
+    return the (rows, V) ensemble log-probs of the token after it."""
+    ids = np.array(tokens, dtype=np.intp)[:, None]
     return ensemble_log_prob([
-        model.decoder_step(enc, prefix).log_softmax(axis=-1).data[0]
-        for model, enc in models])
+        model.decoder_step(enc, ids, cache).log_softmax(axis=-1).data
+        for (model, enc), cache in zip(models, caches)])
+
+
+def _best_candidates(scores: np.ndarray, k: int):
+    """The k best (rows, V) candidates as (parent rank, token) arrays,
+    ordered by score, then token id, then parent rank."""
+    flat = scores.reshape(-1)
+    k = min(k, flat.size)
+    kth = flat[np.argpartition(-flat, k - 1)[k - 1]]
+    near = np.flatnonzero(flat >= kth)
+    ranks, tokens = np.divmod(near, scores.shape[1])
+    order = np.lexsort((ranks, tokens, -flat[near]))[:k]
+    return ranks[order], tokens[order]
 
 
 def beam_search(models: list, cfg: DecodeConfig,
@@ -100,28 +116,29 @@ def beam_search(models: list, cfg: DecodeConfig,
         max_len = int(cfg.max_len_factor * t_prime) + cfg.extra_len
     live = [Hypothesis([BOS_ID])]
     finished = []
+    caches = [model.new_cache() for model, _ in models]
     with no_grad():
         for _ in range(max_len):
             if not live:
                 break
-            candidates = []
-            for rank, hyp in enumerate(live):
-                row = _step_distribution(models, np.array([hyp.tokens]))
-                for token in range(row.shape[0]):
-                    candidates.append((hyp.logprob + row[token], token, rank))
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-            next_live = []
-            for score, token, rank in candidates[:cfg.beam]:
-                parent = live[rank]
-                hyp = Hypothesis(parent.tokens + [token], score)
+            dist = _step(models, caches, [h.tokens[-1] for h in live])
+            scores = np.array([h.logprob for h in live])[:, None] + dist
+            next_live, parents = [], []
+            for rank, token in zip(*_best_candidates(scores, cfg.beam)):
+                hyp = Hypothesis(live[rank].tokens + [int(token)],
+                                 scores[rank, token])
                 if token == EOS_ID:
                     hyp.finished = True
-                    hyp.norm_score = length_normalize(score, hyp.generated,
+                    hyp.norm_score = length_normalize(hyp.logprob, hyp.generated,
                                                       cfg.lennorm_beta)
                     finished.append(hyp)
                 else:
                     next_live.append(hyp)
+                    parents.append(rank)
             live = next_live
+            if live:
+                for cache in caches:
+                    cache.reorder(parents)
     if finished:
         finished.sort(key=lambda h: (-h.norm_score, h.tokens))
         return finished
@@ -134,9 +151,10 @@ def beam_search(models: list, cfg: DecodeConfig,
 def greedy_decode(models: list, max_len: int) -> Hypothesis:
     """Reference greedy decoder: argmax token each step until eos or cap."""
     hyp = Hypothesis([BOS_ID])
+    caches = [model.new_cache() for model, _ in models]
     with no_grad():
         for _ in range(max_len):
-            row = _step_distribution(models, np.array([hyp.tokens]))
+            row = _step(models, caches, [hyp.tokens[-1]])[0]
             token = int(row.argmax())
             hyp = Hypothesis(hyp.tokens + [token], hyp.logprob + row[token])
             if token == EOS_ID:

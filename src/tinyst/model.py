@@ -15,6 +15,13 @@ Four variants form a ladder, each adding one ingredient:
 All activations are (batch, time, hidden) tensors; batches are exact-shape
 (no padding), so no attention masks beyond the causal one are needed.
 
+The decoder has one code path.  It reads and extends a `DecoderCache`: each
+layer's self-attention keys and values over the tokens so far, and its
+cross-attention keys and values of `memory`, projected once.  Teacher
+forcing (`decode_logits`) runs the whole prefix through a fresh cache;
+decoding (`decoder_step`) feeds one new token per hypothesis to a cache
+that lives for the utterance, and reorders it as hypotheses branch.
+
 Dropout is on exactly when a random stream is given.  `SpeechTranslator`
 binds its one rate (`ModelConfig.dropout`) and the caller's stream into a
 single function, `drop`, and passes it down; every block applies `drop`
@@ -158,12 +165,12 @@ class LayerNorm(Module):
         return layer_norm(x, self.gain, self.bias)
 
 
-def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
-    """Sin/cos position table: entry (p, 2i) = sin(p / 10000^(2i/dim)),
-    entry (p, 2i+1) the matching cosine."""
+def sinusoidal_positions(n: int, dim: int, start: int = 0) -> np.ndarray:
+    """Sin/cos table of positions start..start+n-1: the row of position p
+    holds sin(p / 10000^(2i/dim)) at 2i and the matching cosine at 2i+1."""
     if dim % 2:
         raise ValueError(f"position table needs an even dim, got {dim}")
-    pos = np.arange(n, dtype=np.float64)[:, None]
+    pos = np.arange(start, start + n, dtype=np.float64)[:, None]
     inv = 10000.0 ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     angles = pos * inv
     table = np.empty((n, dim))
@@ -172,20 +179,26 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
     return table
 
 
-def add_absolute_positions(x: Tensor) -> Tensor:
-    """Add the sinusoidal table to a (B, T, H) or (T, H) activation."""
+def add_absolute_positions(x: Tensor, start: int = 0) -> Tensor:
+    """Add the sinusoidal table to a (B, T, H) or (T, H) activation whose
+    first row sits at position `start`."""
     t, h = x.shape[-2], x.shape[-1]
-    return x + Tensor(sinusoidal_positions(t, h))
+    return x + Tensor(sinusoidal_positions(t, h, start))
 
 
 def relative_position_index(t_query: int, t_key: int, max_rel: int) -> np.ndarray:
-    """Embedding row for each (i, j): clip(j - i, ±max_rel) + max_rel."""
-    offsets = np.arange(t_key)[None, :] - np.arange(t_query)[:, None]
+    """Embedding row for each (i, j): clip(j - i', ±max_rel) + max_rel, where
+    query row i sits at key position i' = i + t_key - t_query (the queries
+    are the last t_query of the keys)."""
+    offsets = (np.arange(t_key)[None, :]
+               - np.arange(t_key - t_query, t_key)[:, None])
     return np.clip(offsets, -max_rel, max_rel) + max_rel
 
 
-def causal_mask(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), LOG_ZERO), k=1)
+def causal_mask(t_query: int, t_key: int) -> np.ndarray:
+    """LOG_ZERO where key j lies after query row i, the queries being the
+    last t_query of the keys."""
+    return np.triu(np.full((t_query, t_key), LOG_ZERO), k=1 + t_key - t_query)
 
 
 Dropout = Callable[[Tensor], Tensor]
@@ -196,6 +209,60 @@ def no_dropout(x: Tensor) -> Tensor:
     return x
 
 
+class SelfAttentionCache:
+    """The keys and values a self-attention layer has projected so far, each
+    (rows, heads, L, d_head).  Each call appends the new positions' keys
+    and values and returns the whole run.
+
+    A fresh cache keeps the first projection as it is, graph and all, so a
+    teacher-forced pass through a fresh cache trains.  Appending to a
+    filled cache and `reorder` work on `.data`: they run under `no_grad`
+    only, and raise if gradients are tracked.
+    """
+
+    def __init__(self):
+        self.k = self.v = None
+
+    def __len__(self) -> int:
+        return 0 if self.k is None else self.k.shape[2]
+
+    def keys_values(self, project, x: Tensor):
+        k, v = project(x)
+        if self.k is not None:
+            _refuse_tracked(k, v)
+            k = Tensor(np.concatenate([self.k.data, k.data], axis=2))
+            v = Tensor(np.concatenate([self.v.data, v.data], axis=2))
+        self.k, self.v = k, v
+        return k, v
+
+    def reorder(self, parents: np.ndarray):
+        """Row r becomes a copy of row parents[r]; rows may repeat or drop."""
+        _refuse_tracked(self.k, self.v)
+        self.k = Tensor(self.k.data[parents])
+        self.v = Tensor(self.v.data[parents])
+
+
+class MemoryCache:
+    """The keys and values of the encoder memory for a cross-attention
+    layer: projected on the first call, returned as they are after that.
+    Decoding runs one utterance, so they have one row, which broadcasts
+    over the hypotheses and never needs reordering."""
+
+    def __init__(self):
+        self.k = self.v = None
+
+    def keys_values(self, project, memory: Tensor):
+        if self.k is None:
+            self.k, self.v = project(memory)
+        return self.k, self.v
+
+
+def _refuse_tracked(*tensors: Tensor):
+    if any(t.requires_grad for t in tensors):
+        raise RuntimeError("a filled decoder cache only grows or reorders "
+                           "under no_grad")
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention, optionally with clipped relative
     position embeddings on keys and values (self-attention only).
@@ -203,6 +270,10 @@ class MultiHeadAttention(Module):
     With relative positions, per head:
         score(i,j) = (q_i . k_j + q_i . a_K[clip(j-i)]) / sqrt(d_head)
         out_i      = sum_j softmax_j(score) * (v_j + a_V[clip(j-i)])
+
+    Given a cache, the keys and values come from it (see
+    `SelfAttentionCache` and `MemoryCache`), and the queries are the last
+    positions of the keys.
     """
 
     def __init__(self, hidden: int, heads: int, rng: RngStream,
@@ -223,20 +294,22 @@ class MultiHeadAttention(Module):
                 0.0, self.d_head ** -0.5, size=(n_pos, self.d_head)),
                 requires_grad=True)
 
-    def _split(self, x: Tensor, b: int, t: int) -> Tensor:
+    def _split(self, x: Tensor) -> Tensor:
+        b, t, _ = x.shape
         return x.reshape(b, t, self.heads, self.d_head).transpose(0, 2, 1, 3)
 
+    def _project_kv(self, kv: Tensor):
+        return self._split(self.wk(kv)), self._split(self.wv(kv))
+
     def __call__(self, query: Tensor, kv: Tensor, causal: bool = False,
-                 drop: Dropout = no_dropout) -> Tensor:
+                 drop: Dropout = no_dropout, cache=None) -> Tensor:
         b, tq, hidden = query.shape
-        tk = kv.shape[1]
-        q = self._split(self.wq(query), b, tq)
-        k = self._split(self.wk(kv), b, tk)
-        v = self._split(self.wv(kv), b, tk)
+        q = self._split(self.wq(query))
+        k, v = (self._project_kv(kv) if cache is None
+                else cache.keys_values(self._project_kv, kv))
+        tk = k.shape[2]
         scores = q @ k.transpose(0, 1, 3, 2)
         if self.max_rel is not None:
-            if tq != tk:
-                raise ValueError("relative positions require self-attention")
             idx = relative_position_index(tq, tk, self.max_rel)
             rel_k = self.rel_k[idx]  # (Tq, Tk, d_head)
             qt = q.transpose(2, 0, 1, 3).reshape(tq, b * self.heads, 1, self.d_head)
@@ -244,7 +317,7 @@ class MultiHeadAttention(Module):
             scores = scores + srel.reshape(tq, b, self.heads, tk).transpose(1, 2, 0, 3)
         scores = scores * (self.d_head ** -0.5)
         if causal:
-            scores = scores + Tensor(causal_mask(tq))
+            scores = scores + Tensor(causal_mask(tq, tk))
         attn = scores.softmax(axis=-1)
         attn = drop(attn)
         ctx = attn @ v
@@ -430,13 +503,41 @@ class TransformerDecoderLayer(Module):
                                              rng.child("cross_attn"))
         self.ffn = FeedForward(cfg.hidden, cfg.ffn, rng.child("ffn"))
 
-    def __call__(self, x: Tensor, memory: Tensor,
+    def __call__(self, x: Tensor, memory: Tensor, cache: DecoderLayerCache,
                  drop: Dropout = no_dropout) -> Tensor:
         h = self.norm1(x)
-        x = x + drop(self.self_attn(h, h, causal=True, drop=drop))
-        x = x + drop(self.cross_attn(self.norm2(x), memory, drop=drop))
+        x = x + drop(self.self_attn(h, h, causal=True, drop=drop,
+                                    cache=cache.self_attn))
+        x = x + drop(self.cross_attn(self.norm2(x), memory, drop=drop,
+                                     cache=cache.cross_attn))
         x = x + drop(self.ffn(self.norm3(x), drop))
         return x
+
+
+class DecoderLayerCache:
+    """One decoder layer's share of a `DecoderCache`."""
+
+    def __init__(self):
+        self.self_attn = SelfAttentionCache()
+        self.cross_attn = MemoryCache()
+
+
+class DecoderCache:
+    """Per model and utterance: what each decoder layer has computed for
+    the tokens so far.  Its length is the number of positions decoded."""
+
+    def __init__(self, n_layers: int):
+        self.layers = [DecoderLayerCache() for _ in range(n_layers)]
+
+    def __len__(self) -> int:
+        return len(self.layers[0].self_attn)
+
+    def reorder(self, parents):
+        """Keep, for each new row, the cache of the hypothesis it extends:
+        row r becomes old row parents[r]."""
+        parents = np.asarray(parents, dtype=np.intp)
+        for layer in self.layers:
+            layer.self_attn.reorder(parents)
 
 
 class SpeechTranslator(Module):
@@ -487,27 +588,42 @@ class SpeechTranslator(Module):
         t_out = memory.shape[1]
         return EncoderOutput(memory, ctc_logits, [t_out] * memory.shape[0])
 
+    def new_cache(self) -> DecoderCache:
+        return DecoderCache(len(self.dec_layers))
+
+    def _decode(self, enc: EncoderOutput, ids: np.ndarray, cache: DecoderCache,
+                drop: Dropout) -> Tensor:
+        """The decoder: (B, n) ids that follow the len(cache) positions
+        already in `cache` to (B, n, vocab) next-token logits, extending the
+        cache by n positions."""
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 2 or ids.shape[1] < 1:
+            raise ValueError(f"prefix must be (B, >=1) token ids, got {ids.shape}")
+        start = len(cache)
+        if start == 0 and np.any(ids[:, 0] != BOS_ID):
+            raise ValueError("decoder prefix must begin with bos")
+        x = self.embed(ids) * math.sqrt(self.cfg.hidden)
+        x = drop(add_absolute_positions(x, start))
+        for layer, layer_cache in zip(self.dec_layers, cache.layers):
+            x = layer(x, enc.memory, layer_cache, drop)
+        return self.out_proj(self.dec_norm(x))
+
     def decode_logits(self, enc: EncoderOutput, prefix: np.ndarray,
                       rng: RngStream | None = None) -> Tensor:
         """Teacher-forced decoder pass: (B, Lp) prefix ids to (B, Lp, vocab)
-        next-token logits, causal at every position.  Dropout draws from
-        `rng`; without it the decoder runs in eval mode."""
-        prefix = np.asarray(prefix, dtype=np.intp)
-        if prefix.ndim != 2 or prefix.shape[1] < 1:
-            raise ValueError(f"prefix must be (B, >=1) token ids, got {prefix.shape}")
-        if np.any(prefix[:, 0] != BOS_ID):
-            raise ValueError("decoder prefix must begin with bos")
+        next-token logits, causal at every position, through a fresh cache.
+        Dropout draws from `rng`; without it the decoder runs in eval mode."""
         drop = partial(dropout, p=self.cfg.dropout, rng=rng)
-        x = drop(add_absolute_positions(self.embed(prefix) * math.sqrt(self.cfg.hidden)))
-        for layer in self.dec_layers:
-            x = layer(x, enc.memory, drop)
-        return self.out_proj(self.dec_norm(x))
+        return self._decode(enc, prefix, self.new_cache(), drop)
 
-    def decoder_step(self, enc: EncoderOutput, prefix: np.ndarray) -> Tensor:
-        """Next-token logits (B, vocab) after the given prefix (crash on
-        empty); recomputes the prefix forward, trading speed for simplicity."""
-        logits = self.decode_logits(enc, prefix)
-        return logits[:, -1]
+    def decoder_step(self, enc: EncoderOutput, tokens: np.ndarray,
+                     cache: DecoderCache) -> Tensor:
+        """Eval-mode incremental decoding: (rows, 1) ids of each hypothesis's
+        newest token to (rows, vocab) logits for the token after it.  Only
+        the new position is computed; `cache` holds the earlier ones (start
+        with `new_cache()` and bos) and grows by one.  Runs under `no_grad`
+        once the cache is filled."""
+        return self._decode(enc, tokens, cache, no_dropout)[:, -1]
 
     def forward(self, features: Tensor, prefix: np.ndarray,
                 rng: RngStream | None = None):

@@ -201,7 +201,7 @@ def test_ensemble_identity(capsys, workspace, baseline):
         # combined next-token distribution at every step along the decode
         for cut in range(1, len(single.tokens)):
             prefix = np.array([single.tokens[:cut]])
-            row = model.decoder_step(enc, prefix).log_softmax(axis=-1).data[0]
+            row = model.decode_logits(enc, prefix)[:, -1].log_softmax(axis=-1).data[0]
             combined = ensemble_log_prob([row] * 6)
             worst = max(worst, float(np.abs(combined - row).max()))
     ok = worst < 1e-9 and mismatches == 0

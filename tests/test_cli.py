@@ -148,6 +148,21 @@ class TestTrainCommands:
             err = capsys.readouterr().err
             assert name in err and "missing.tsv" not in err
 
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_max_steps_below_one_leaves_no_run_directory(
+            self, workspace, tmp_path, capsys, command, steps):
+        source = (["--checkpoint", str(workspace["run"] / "epoch0002.ckpt")]
+                  if command == "finetune" else [])
+        out = tmp_path / "run"
+        code = main([command, *source,
+                     "--manifest", str(workspace["prep"] / "train.tsv"),
+                     "--subwords", str(workspace["prep"]), "--out", str(out),
+                     "--max-steps", steps])
+        assert code == 1
+        assert "max_steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_finetune_rejects_model_keys(self, workspace, tmp_path, capsys):
         conf = tmp_path / "ft.conf"
         conf.write_text("hidden = 16\nepochs = 1\n")

@@ -1,4 +1,9 @@
-"""Tests for beam search, length normalization, ensembling, and CTC collapse."""
+"""Tests for beam search, length normalization, ensembling, and CTC collapse.
+
+`reference_beam_search` is the oracle for the cached, batched beam search:
+it rescores every hypothesis's whole prefix teacher-forced, one hypothesis
+at a time, and sorts every candidate in Python.
+"""
 
 import numpy as np
 import pytest
@@ -15,24 +20,85 @@ from tinyst.decoding import (
 )
 from tinyst.model import EncoderOutput, ModelConfig, SpeechTranslator
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor
+from tinyst.tensor import Tensor, no_grad
 from tinyst.text import BLANK_ID, BOS_ID, EOS_ID
 
 V = 7  # pad, unk, bos, eos, blank, then content ids 5 ("a") and 6 ("b")
 A, B = 5, 6
 
 
+class ScriptedCache:
+    """The step protocol's cache, scripted: one token list per row."""
+
+    def __init__(self):
+        self.prefixes = []
+
+    def extend(self, tokens):
+        new = [int(t) for t in tokens[:, 0]]
+        self.prefixes = ([[t] for t in new] if not self.prefixes else
+                         [p + [t] for p, t in zip(self.prefixes, new)])
+
+    def reorder(self, parents):
+        self.prefixes = [list(self.prefixes[r]) for r in parents]
+
+
 class ScriptedModel:
-    """Stand-in decoder: maps a prefix tuple to a probability row."""
+    """Stand-in decoder: maps a prefix tuple to a probability row, and
+    records the prefixes of the rows it was stepped with."""
 
     def __init__(self, table, default=None):
         self.table = table
         self.default = default if default is not None else np.full(V, 1.0 / V)
+        self.stepped = []
 
-    def decoder_step(self, enc, prefix):
-        probs = self.table.get(tuple(int(t) for t in prefix[0]), self.default)
+    def new_cache(self):
+        return ScriptedCache()
+
+    def decoder_step(self, enc, tokens, cache):
+        cache.extend(tokens)
+        self.stepped.append([tuple(p) for p in cache.prefixes])
+        probs = [self.table.get(tuple(p), self.default) for p in cache.prefixes]
         with np.errstate(divide="ignore"):
-            return Tensor(np.log(np.asarray(probs, dtype=np.float64))[None, :])
+            return Tensor(np.log(np.asarray(probs, dtype=np.float64)))
+
+
+def reference_beam_search(models, cfg, max_len):
+    """The prefix-recompute beam search: each live hypothesis's next-token
+    row comes from a teacher-forced pass over its whole prefix, and every
+    candidate is sorted by (score, token id, parent rank)."""
+    live = [Hypothesis([BOS_ID])]
+    finished = []
+    with no_grad():
+        for _ in range(max_len):
+            if not live:
+                break
+            candidates = []
+            for rank, hyp in enumerate(live):
+                prefix = np.array([hyp.tokens])
+                row = ensemble_log_prob([
+                    model.decode_logits(enc, prefix)[:, -1]
+                    .log_softmax(axis=-1).data[0] for model, enc in models])
+                for token in range(row.shape[0]):
+                    candidates.append((hyp.logprob + row[token], token, rank))
+            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+            next_live = []
+            for score, token, rank in candidates[:cfg.beam]:
+                hyp = Hypothesis(live[rank].tokens + [token], score)
+                if token == EOS_ID:
+                    hyp.finished = True
+                    hyp.norm_score = length_normalize(score, hyp.generated,
+                                                      cfg.lennorm_beta)
+                    finished.append(hyp)
+                else:
+                    next_live.append(hyp)
+            live = next_live
+    if finished:
+        finished.sort(key=lambda h: (-h.norm_score, h.tokens))
+        return finished
+    best = max(live, key=lambda h: (h.logprob, [-t for t in h.tokens]))
+    best.norm_score = length_normalize(best.logprob, max(best.generated, 1),
+                                       cfg.lennorm_beta)
+    return [best]
 
 
 def _probs(**kwargs):
@@ -115,8 +181,20 @@ class TestEnsembleLogProb:
                                    ensemble_log_prob(rows[::-1]), rtol=1e-14)
 
     def test_vocab_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="vocabulary"):
+        with pytest.raises(ValueError, match=r"vocabulary size: \[\(3,\), \(4,\)\]"):
             ensemble_log_prob([np.zeros(3), np.zeros(4)])
+
+    def test_stack_over_rows_equals_each_row_bitwise(self):
+        rng = RngStream(7)
+        stack = rng.normal(size=(3, 4, 9))
+        stack = stack - np.log(np.exp(stack).sum(axis=2, keepdims=True))
+        stack[1, 2] = stack[0, 2]
+        combined = ensemble_log_prob(stack)
+        assert combined.shape == (4, 9)
+        for r in range(4):
+            np.testing.assert_array_equal(combined[r], ensemble_log_prob(stack[:, r]))
+            np.testing.assert_array_equal(
+                combined[r], ensemble_log_prob([stack[k, r] for k in range(3)]))
 
 
 class TestCtcGreedyDecode:
@@ -205,6 +283,27 @@ class TestBeamSearch:
                              DecodeConfig(beam=1))
         assert hyp.generated == int(1.0 * 7) + 10
 
+    def test_exact_ties_order_by_token_then_parent(self):
+        # bos ties eos, a and b exactly: eos (id 3) finishes first, then a
+        # (rank 0) and b (rank 1) live.  Both then tie a and b exactly, so
+        # four candidates share one score and three are kept: a before b,
+        # and within a token the lower parent rank first.
+        model = ScriptedModel({
+            (BOS_ID,): _probs(a=0.3, b=0.3, eos=0.3),
+            (BOS_ID, A): _probs(a=0.5, b=0.5),
+            (BOS_ID, B): _probs(a=0.5, b=0.5),
+        }, default=_probs(eos=1.0))
+        hyps = beam_search([(model, _fake_enc())], DecodeConfig(beam=3),
+                           max_len=3)
+        assert model.stepped[1] == [(BOS_ID, A), (BOS_ID, B)]
+        assert model.stepped[2] == [(BOS_ID, A, A), (BOS_ID, B, A),
+                                    (BOS_ID, A, B)]
+        assert len(model.stepped) == 3
+        assert [h.tokens for h in hyps] == [
+            [BOS_ID, A, A, EOS_ID], [BOS_ID, A, B, EOS_ID],
+            [BOS_ID, B, A, EOS_ID], [BOS_ID, EOS_ID]]
+        assert hyps[0].logprob == hyps[1].logprob == hyps[2].logprob
+
     def test_needs_a_model(self):
         with pytest.raises(ValueError):
             beam_search([], DecodeConfig())
@@ -249,6 +348,50 @@ class TestBeamSearch:
         assert [h.tokens for h in single] == [h.tokens for h in six]
         for a, b in zip(single, six):
             assert a.logprob == pytest.approx(b.logprob, abs=1e-12)
+
+
+def _oracle_models(variant, seeds):
+    cfg = ModelConfig(vocab_size=10, variant=variant, enc_layers=2,
+                      dec_layers=2, acoustic_layers=1, hidden=8, heads=2,
+                      ffn=16, conv_kernel=3, rpe_enc_max=4, rpe_dec_max=3,
+                      adaptor_mix_embeddings=True)
+    models = []
+    for seed in seeds:
+        model = SpeechTranslator(cfg, RngStream(seed))
+        model.out_proj.bias.data[EOS_ID] -= 0.5  # finish some, cap others
+        models.append(model)
+    feats = RngStream(16).normal(size=(24, 80))
+    return [(m, encode_for_decoding(m, feats)) for m in models]
+
+
+class TestAgainstRecomputeOracle:
+    """Cached, batched beam search gives the recompute oracle's tokens and
+    scores."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "conformer",
+                                         "conformer_rpe", "sate"])
+    @pytest.mark.parametrize("seeds", [(41,), (41, 42)], ids=["single", "pair"])
+    def test_same_tokens_and_scores(self, variant, seeds):
+        models = _oracle_models(variant, seeds)
+        longest = 0
+        for beam in (1, 2, 5):
+            cfg = DecodeConfig(beam=beam)
+            got = beam_search(models, cfg, max_len=9)
+            want = reference_beam_search(models, cfg, max_len=9)
+            assert [h.tokens for h in got] == [h.tokens for h in want]
+            assert [h.finished for h in got] == [h.finished for h in want]
+            for g, w in zip(got, want):
+                assert abs(g.logprob - w.logprob) < 1e-12
+                assert abs(g.norm_score - w.norm_score) < 1e-12
+            longest = max(longest, max(h.generated for h in got))
+        assert longest > 3 + 1  # rpe_dec_max + 1: relative positions clip
+
+    def test_greedy_matches_oracle_beam_one(self):
+        models = _oracle_models("conformer_rpe", (43, 44))
+        greedy = greedy_decode(models, max_len=9)
+        (want,) = reference_beam_search(models, DecodeConfig(beam=1), 9)[:1]
+        assert greedy.tokens == want.tokens
+        assert abs(greedy.logprob - want.logprob) < 1e-12
 
 
 class TestGreedyDecode:

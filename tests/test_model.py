@@ -5,15 +5,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DlclCombiner,
-                          Downsampler, EncoderOutput, FeedForward, ModelConfig,
+from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DecoderLayerCache,
+                          DlclCombiner, Downsampler, EncoderOutput,
+                          FeedForward, ModelConfig,
                           MultiHeadAttention, SpeechTranslator,
                           TransformerDecoderLayer, TransformerEncoderLayer,
                           _EncoderStack, add_absolute_positions, causal_mask,
                           downsampled_length, relative_position_index,
                           sinusoidal_positions)
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor, dropout, grad_check, layer_norm
+from tinyst.tensor import Tensor, dropout, grad_check, layer_norm, no_grad
 from tinyst.text import BOS_ID
 
 
@@ -104,6 +105,11 @@ class TestPositions:
         np.testing.assert_allclose(out.data[0], sinusoidal_positions(5, 8))
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
+    def test_start_gives_the_later_rows(self):
+        np.testing.assert_allclose(sinusoidal_positions(3, 8, start=4),
+                                   sinusoidal_positions(7, 8)[4:],
+                                   rtol=0, atol=1e-15)
+
 
 class TestRelativeAttention:
     def test_far_offset_clips_to_max_index(self):
@@ -111,6 +117,18 @@ class TestRelativeAttention:
         assert idx[0, 150] == 200
         assert idx[150, 0] == 0
         assert idx[3, 3] == 100
+
+    @pytest.mark.parametrize("t_query", [1, 2, 5])
+    def test_queries_align_to_the_last_keys(self, t_query):
+        full_idx = relative_position_index(9, 9, 3)
+        np.testing.assert_array_equal(relative_position_index(t_query, 9, 3),
+                                      full_idx[9 - t_query:])
+        np.testing.assert_array_equal(causal_mask(t_query, 9),
+                                      causal_mask(9, 9)[9 - t_query:])
+
+    def test_square_mask_hides_the_future(self):
+        mask = causal_mask(4, 4)
+        np.testing.assert_array_equal(mask != 0, np.triu(np.ones((4, 4)), k=1))
 
     def test_zero_rel_embeddings_match_vanilla(self):
         rng = np.random.default_rng(3)
@@ -346,21 +364,28 @@ class TestDecoder:
         enc = model.encode(feats)
         prefix = np.array([[BOS_ID, 6, 5, 6, 5]])
         full = model.decode_logits(enc, prefix)
-        for t in range(prefix.shape[1]):
-            step = model.decoder_step(enc, prefix[:, :t + 1])
-            np.testing.assert_allclose(step.data, full.data[:, t], atol=1e-10)
+        cache = model.new_cache()
+        with no_grad():
+            for t in range(prefix.shape[1]):
+                step = model.decoder_step(enc, prefix[:, t:t + 1], cache)
+                np.testing.assert_allclose(step.data, full.data[:, t], atol=1e-10)
 
     def test_empty_prefix_rejected(self):
         model = SpeechTranslator(tiny_cfg(), RngStream(27))
         enc = model.encode(Tensor(np.zeros((1, 8, 80))))
         with pytest.raises(ValueError, match="prefix"):
-            model.decoder_step(enc, np.zeros((1, 0), dtype=int))
+            model.decoder_step(enc, np.zeros((1, 0), dtype=int),
+                               model.new_cache())
+        with pytest.raises(ValueError, match="prefix"):
+            model.decode_logits(enc, np.zeros((1, 0), dtype=int))
 
     def test_prefix_must_begin_with_bos(self):
         model = SpeechTranslator(tiny_cfg(), RngStream(28))
         enc = model.encode(Tensor(np.zeros((1, 8, 80))))
         with pytest.raises(ValueError, match="bos"):
-            model.decoder_step(enc, np.array([[5, 6]]))
+            model.decoder_step(enc, np.array([[5]]), model.new_cache())
+        with pytest.raises(ValueError, match="bos"):
+            model.decode_logits(enc, np.array([[5, 6]]))
 
     def test_zero_weight_decoder_is_uniform(self):
         model = SpeechTranslator(tiny_cfg(), RngStream(29))
@@ -370,9 +395,50 @@ class TestDecoder:
             zero_params(layer)
         zero_params(model.dec_norm)
         zero_params(model.out_proj)
-        logits = model.decoder_step(enc, np.array([[BOS_ID, 5]]))
+        logits = model.decode_logits(enc, np.array([[BOS_ID, 5]]))[:, -1]
         probs = logits.softmax(axis=-1).data
         np.testing.assert_allclose(probs, 1.0 / 7.0, atol=1e-12)
+
+
+class TestDecoderCache:
+    """decoder_step through a cache that grows and reorders must give the
+    teacher-forced logits of the prefixes its rows stand for."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "conformer_rpe", "sate"])
+    def test_reordered_cache_matches_teacher_forcing(self, variant):
+        model = SpeechTranslator(tiny_cfg(variant=variant, dec_layers=2,
+                                          adaptor_mix_embeddings=True),
+                                 RngStream(33))
+        enc = model.encode(Tensor(np.random.default_rng(25).normal(size=(1, 20, 80))))
+        rng = np.random.default_rng(26)
+        prefixes = np.full((3, 1), BOS_ID)
+        cache = model.new_cache()
+        worst = 0.0
+        # parents [0, 0, 2] repeat row 0 and drop row 1; [2, 0] shrinks the
+        # rows.  Nine positions pass the decoder's clip radius of 3.
+        plan = [None, None, [0, 0, 2], None, [2, 0], None, [1, 1, 0], None, None]
+        with no_grad():
+            for parents in plan:
+                if parents is not None:
+                    cache.reorder(parents)
+                    prefixes = prefixes[parents]
+                step = model.decoder_step(enc, prefixes[:, -1:], cache)
+                full = model.decode_logits(enc, prefixes)[:, -1]
+                worst = max(worst, float(np.abs(step.data - full.data).max()))
+                new = rng.integers(5, 7, size=(len(prefixes), 1))
+                prefixes = np.concatenate([prefixes, new], axis=1)
+        assert len(cache) == len(plan)
+        assert worst < 1e-12
+
+    def test_filled_cache_refuses_tracked_gradients(self):
+        model = SpeechTranslator(tiny_cfg(), RngStream(34))
+        enc = model.encode(Tensor(np.zeros((1, 8, 80))))
+        cache = model.new_cache()
+        model.decoder_step(enc, np.array([[BOS_ID]]), cache)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            model.decoder_step(enc, np.array([[5]]), cache)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            cache.reorder([0])
 
 
 _X = np.random.default_rng(40).normal(size=(2, 5, 8))
@@ -396,7 +462,7 @@ BLOCKS = {
                       lambda m, x, **kw: m(x, **kw)),
     "decoder_layer": (lambda: TransformerDecoderLayer(tiny_cfg(), RngStream(7),
                                                       max_rel=2),
-                      lambda m, x, **kw: m(x, _MEMORY, **kw)),
+                      lambda m, x, **kw: m(x, _MEMORY, DecoderLayerCache(), **kw)),
 }
 
 
