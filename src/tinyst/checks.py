@@ -23,6 +23,8 @@ from .model import ModelConfig, SpeechTranslator
 from .rng import RngStream
 from .tensor import (
     Tensor,
+    band_gather,
+    band_sum,
     conv1d,
     depthwise_conv1d,
     dropout,
@@ -101,6 +103,12 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
     # A fresh stream with a fixed seed redraws the same mask every call,
     # which keeps the loss deterministic for the numeric probes.
     check("dropout", lambda: dropout(cx, 0.4, RngStream(77)).sum(), [cx])
+    # Three queries aligned to the last of six keys, offsets clipped at 1.
+    per_offset = _param(rng, 2, 3, 3)
+    band = _param(rng, 2, 3, 6)
+    check("band_gather", lambda: (band_gather(per_offset, 6) ** 2.0).sum(),
+          [per_offset])
+    check("band_sum", lambda: (band_sum(band, 1) ** 2.0).sum(), [band])
     return results
 
 

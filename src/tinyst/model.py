@@ -8,7 +8,7 @@ Four variants form a ladder, each adding one ingredient:
                  downsampling by 4, CTC head on the top encoder layer
   conformer      encoder blocks swapped for Conformer blocks
   conformer_rpe  adds clipped relative position embeddings to encoder and
-                 decoder self-attention
+                 decoder self-attention, scored and mixed per offset
   sate           splits the encoder into an acoustic stack (CTC head on its
                  output) and a textual stack joined by an adaptor
 
@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (LOG_ZERO, Tensor, depthwise_conv1d, dropout, glu,
-                     layer_norm, stack)
+from .tensor import (LOG_ZERO, Tensor, band_gather, band_sum,
+                     depthwise_conv1d, dropout, glu, layer_norm, stack)
 from .tensor import conv1d as conv1d_op
 from .text import BOS_ID
 
@@ -186,15 +186,6 @@ def add_absolute_positions(x: Tensor, start: int = 0) -> Tensor:
     return x + Tensor(sinusoidal_positions(t, h, start))
 
 
-def relative_position_index(t_query: int, t_key: int, max_rel: int) -> np.ndarray:
-    """Embedding row for each (i, j): clip(j - i', ±max_rel) + max_rel, where
-    query row i sits at key position i' = i + t_key - t_query (the queries
-    are the last t_query of the keys)."""
-    offsets = (np.arange(t_key)[None, :]
-               - np.arange(t_key - t_query, t_key)[:, None])
-    return np.clip(offsets, -max_rel, max_rel) + max_rel
-
-
 def causal_mask(t_query: int, t_key: int) -> np.ndarray:
     """LOG_ZERO where key j lies after query row i, the queries being the
     last t_query of the keys."""
@@ -271,6 +262,13 @@ class MultiHeadAttention(Module):
         score(i,j) = (q_i . k_j + q_i . a_K[clip(j-i)]) / sqrt(d_head)
         out_i      = sum_j softmax_j(score) * (v_j + a_V[clip(j-i)])
 
+    Both terms go through the 2R+1 clipped offsets, never a (Tq, Tk,
+    d_head) table (Shaw et al. 2018, in the memory-lean form of Huang et
+    al. 2018).  The scores q . a_K are computed once per offset, as
+    (B, H, Tq, 2R+1), and `band_gather` spreads them over the keys.  For the
+    values, `band_sum` adds up each row's attention weights per offset,
+    and the sums multiply a_V.
+
     Given a cache, the keys and values come from it (see
     `SelfAttentionCache` and `MemoryCache`), and the queries are the last
     positions of the keys.
@@ -310,22 +308,14 @@ class MultiHeadAttention(Module):
         tk = k.shape[2]
         scores = q @ k.transpose(0, 1, 3, 2)
         if self.max_rel is not None:
-            idx = relative_position_index(tq, tk, self.max_rel)
-            rel_k = self.rel_k[idx]  # (Tq, Tk, d_head)
-            qt = q.transpose(2, 0, 1, 3).reshape(tq, b * self.heads, 1, self.d_head)
-            srel = qt @ rel_k.transpose(0, 2, 1).reshape(tq, 1, self.d_head, tk)
-            scores = scores + srel.reshape(tq, b, self.heads, tk).transpose(1, 2, 0, 3)
+            scores = scores + band_gather(q @ self.rel_k.transpose(), tk)
         scores = scores * (self.d_head ** -0.5)
         if causal:
             scores = scores + Tensor(causal_mask(tq, tk))
-        attn = scores.softmax(axis=-1)
-        attn = drop(attn)
+        attn = drop(scores.softmax(axis=-1))
         ctx = attn @ v
         if self.max_rel is not None:
-            rel_v = self.rel_v[idx]  # (Tq, Tk, d_head)
-            at = attn.transpose(2, 0, 1, 3).reshape(tq, b * self.heads, 1, tk)
-            crel = at @ rel_v.reshape(tq, 1, tk, self.d_head)
-            ctx = ctx + crel.reshape(tq, b, self.heads, self.d_head).transpose(1, 2, 0, 3)
+            ctx = ctx + band_sum(attn, self.max_rel) @ self.rel_v
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden)
         return self.wo(merged)
 

@@ -16,6 +16,7 @@ passes NaN-free.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -485,6 +486,117 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> 
             x._accum(dxp[:, padding:padding + t] if padding else dxp)
 
     return Tensor._from_op(out, tuple(parents), backward)
+
+
+def relative_position_index(t_query: int, t_key: int, max_rel: int) -> np.ndarray:
+    """Offset row for each (i, j): clip(j - i', ±max_rel) + max_rel, where
+    query row i sits at key position i' = i + t_key - t_query (the queries
+    are the last t_query of the keys)."""
+    offsets = (np.arange(t_key)[None, :]
+               - np.arange(t_key - t_query, t_key)[:, None])
+    return np.clip(offsets, -max_rel, max_rel) + max_rel
+
+
+def _make_band_plan(t_query: int, t_key: int, max_rel: int) -> tuple:
+    """Flat indices between a (t_query, 2*max_rel+1) table of per-offset
+    values and the (t_query, t_key) band it spreads to.
+
+    `flat[i*t_key + j]` is the table entry i*(2*max_rel+1) +
+    relative_position_index[i, j].  It never decreases, so equal entries
+    form runs: `starts` are where the runs begin and `targets` the entry
+    each run belongs to.  The arrays are read-only because the plan cache
+    hands them to every caller.
+    """
+    n_rel = 2 * max_rel + 1
+    flat = (relative_position_index(t_query, t_key, max_rel)
+            + n_rel * np.arange(t_query)[:, None]).ravel()
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    targets = flat[starts]
+    for arr in (flat, starts, targets):
+        arr.flags.writeable = False
+    return flat, starts, targets
+
+
+class _PlanCache:
+    """The least recently used band plans, keyed by (t_query, t_key,
+    max_rel) and bounded by their bytes, not their count.
+
+    A decoder step meets a new key length each time but needs a plan of a
+    few KB, while one encoder plan at T' = 262 and max_rel = 100 is about
+    1.2 MB.  The newest plan stays even when it alone exceeds the budget.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self.plans = OrderedDict()
+
+    def __call__(self, t_query: int, t_key: int, max_rel: int) -> tuple:
+        key = (t_query, t_key, max_rel)
+        plan = self.plans.get(key)
+        if plan is not None:
+            self.plans.move_to_end(key)
+            return plan
+        plan = self.plans[key] = _make_band_plan(t_query, t_key, max_rel)
+        self.nbytes += sum(a.nbytes for a in plan)
+        while self.nbytes > self.budget and len(self.plans) > 1:
+            _, old = self.plans.popitem(last=False)
+            self.nbytes -= sum(a.nbytes for a in old)
+        return plan
+
+
+_band_plan = _PlanCache(budget=8 * 2 ** 20)
+
+
+def _gather_band(x: np.ndarray, t_key: int) -> np.ndarray:
+    *lead, t_query, n_rel = x.shape
+    flat, _, _ = _band_plan(t_query, t_key, n_rel // 2)
+    out = np.take(x.reshape(*lead, t_query * n_rel), flat, axis=-1)
+    return out.reshape(*lead, t_query, t_key)
+
+
+def _sum_band(x: np.ndarray, max_rel: int) -> np.ndarray:
+    *lead, t_query, t_key = x.shape
+    n_rel = 2 * max_rel + 1
+    _, starts, targets = _band_plan(t_query, t_key, max_rel)
+    runs = np.add.reduceat(x.reshape(*lead, t_query * t_key), starts, axis=-1)
+    out = np.zeros((*lead, t_query * n_rel))
+    out[..., targets] = runs
+    return out.reshape(*lead, t_query, n_rel)
+
+
+def band_gather(x: Tensor, t_key: int) -> Tensor:
+    """Spread per-offset values over the relative-position band: x is
+    (..., t_query, 2R+1) and the result (..., t_query, t_key) holds
+    x[..., i, relative_position_index(t_query, t_key, R)[i, j]] at (i, j).
+    Its adjoint is `band_sum`."""
+    if x.data.ndim < 2 or x.data.shape[-1] % 2 == 0:
+        raise ValueError(f"band_gather needs a (..., t_query, 2R+1) input, "
+                         f"got shape {x.data.shape}")
+    out = _gather_band(x.data, t_key)
+    if not _tracking(x):
+        return Tensor(out)
+
+    def backward(g):
+        x._accum(_sum_band(g, x.data.shape[-1] // 2))
+
+    return Tensor._from_op(out, (x,), backward)
+
+
+def band_sum(x: Tensor, max_rel: int) -> Tensor:
+    """Sum a (..., t_query, t_key) array per clipped relative offset into
+    (..., t_query, 2*max_rel+1): the adjoint of `band_gather`."""
+    if x.data.ndim < 2 or max_rel < 0:
+        raise ValueError(f"band_sum needs a (..., t_query, t_key) input and "
+                         f"max_rel >= 0, got shape {x.data.shape}, max_rel {max_rel}")
+    out = _sum_band(x.data, max_rel)
+    if not _tracking(x):
+        return Tensor(out)
+
+    def backward(g):
+        x._accum(_gather_band(g, x.data.shape[-1]))
+
+    return Tensor._from_op(out, (x,), backward)
 
 
 def dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:

@@ -1,5 +1,6 @@
 """Tests for the architecture ladder: blocks, positions, variants."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -11,10 +12,10 @@ from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DecoderLayerCache
                           MultiHeadAttention, SpeechTranslator,
                           TransformerDecoderLayer, TransformerEncoderLayer,
                           _EncoderStack, add_absolute_positions, causal_mask,
-                          downsampled_length, relative_position_index,
-                          sinusoidal_positions)
+                          downsampled_length, no_dropout, sinusoidal_positions)
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor, dropout, grad_check, layer_norm, no_grad
+from tinyst.tensor import (Tensor, _band_plan, dropout, grad_check, layer_norm,
+                           no_grad, relative_position_index)
 from tinyst.text import BOS_ID
 
 
@@ -159,6 +160,110 @@ class TestRelativeAttention:
         params = [x] + attn.parameters()
         err = grad_check(lambda: (attn(x, x, causal=True) ** 2.0).sum(), params)
         assert err < 1e-4
+
+
+def reference_relative_attention(attn, query, kv, causal=False, drop=no_dropout):
+    """`MultiHeadAttention` with relative positions, written as the
+    (Tq, Tk, d_head) gather of `rel_k` and `rel_v` and broadcast matmuls
+    that the band ops replaced: the oracle for them."""
+    b, tq, hidden = query.shape
+    q = attn._split(attn.wq(query))
+    k, v = attn._project_kv(kv)
+    tk = k.shape[2]
+    idx = relative_position_index(tq, tk, attn.max_rel)
+    rel_k = attn.rel_k[idx]  # (Tq, Tk, d_head)
+    qt = q.transpose(2, 0, 1, 3).reshape(tq, b * attn.heads, 1, attn.d_head)
+    srel = qt @ rel_k.transpose(0, 2, 1).reshape(tq, 1, attn.d_head, tk)
+    scores = q @ k.transpose(0, 1, 3, 2) \
+        + srel.reshape(tq, b, attn.heads, tk).transpose(1, 2, 0, 3)
+    scores = scores * (attn.d_head ** -0.5)
+    if causal:
+        scores = scores + Tensor(causal_mask(tq, tk))
+    weights = drop(scores.softmax(axis=-1))
+    rel_v = attn.rel_v[idx]  # (Tq, Tk, d_head)
+    wt = weights.transpose(2, 0, 1, 3).reshape(tq, b * attn.heads, 1, tk)
+    crel = wt @ rel_v.reshape(tq, 1, tk, attn.d_head)
+    ctx = weights @ v + crel.reshape(tq, b, attn.heads, attn.d_head).transpose(1, 2, 0, 3)
+    return attn.wo(ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden))
+
+
+class TestBandAttention:
+    """Relative attention by clipped offset against the (Tq, Tk, d_head)
+    oracle, and the memory the band form saves."""
+
+    # (t_query, t_key, max_rel): offsets clip, nothing clips, and queries
+    # aligned to the last of 9 keys as in a cached decoder step.
+    SHAPES = {"clipped": (11, 11, 2), "unclipped": (4, 4, 5),
+              "one_query": (1, 9, 3), "three_queries": (3, 9, 3)}
+
+    def _outputs_and_grads(self, forward, attn, x, t_query, weights):
+        attn.zero_grad()
+        x.grad = None
+        out = forward(attn, x[:, -t_query:], x)
+        (out * Tensor(weights)).sum().backward()
+        grads = {name: p.grad.copy() for name, p in attn.named_parameters()}
+        return out.data, x.grad.copy(), grads
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("p_drop", [0.0, 0.3], ids=["eval", "dropout"])
+    def test_matches_gather_oracle(self, shape, causal, p_drop):
+        t_query, t_key, max_rel = self.SHAPES[shape]
+        rng = np.random.default_rng(50)
+        attn = MultiHeadAttention(8, 2, RngStream(51), max_rel=max_rel)
+        x = Tensor(rng.normal(size=(2, t_key, 8)), requires_grad=True)
+        weights = rng.normal(size=(2, t_query, 8))
+        # A fresh stream per call draws the same mask for both paths.
+        def drop(t):
+            return dropout(t, p_drop, RngStream(52))
+
+        def band(m, q, kv):
+            return m(q, kv, causal=causal, drop=drop)
+
+        def oracle(m, q, kv):
+            return reference_relative_attention(m, q, kv, causal=causal, drop=drop)
+
+        out, gx, grads = self._outputs_and_grads(band, attn, x, t_query, weights)
+        ref_out, ref_gx, ref_grads = self._outputs_and_grads(
+            oracle, attn, x, t_query, weights)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
+        assert set(grads) == set(ref_grads) >= {"rel_k", "rel_v", "wq.weight"}
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    def test_peak_memory_at_long_shape(self):
+        # One layer at T'=256 with max_rel=100 peaks near 101 MB through
+        # (T, T, d_head) tables and near 35 MB by offset.
+        attn = MultiHeadAttention(64, 4, RngStream(53), max_rel=100)
+        x = Tensor(np.random.default_rng(54).normal(size=(1, 256, 64)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            attn(x, x).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_index_cache_stays_bounded_over_many_lengths(self):
+        # Beam search meets a new key length every step and training a new
+        # T' every batch: the cached index arrays must not grow with them.
+        attn = MultiHeadAttention(8, 2, RngStream(55), max_rel=100)
+        x = Tensor(np.random.default_rng(56).normal(size=(1, 200, 8)))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                for t in range(100, 200):
+                    attn(x[:, :t], x[:, :t])
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (199, 199, 100) in _band_plan.plans
+        assert 0 < _band_plan.nbytes <= _band_plan.budget <= 8 * 2 ** 20
+        # The budget is 8 MiB; all 100 plans would hold about 50 MB.
+        assert retained < 16e6, f"retained {retained / 1e6:.1f} MB"
 
 
 class TestTransformerLayer:
