@@ -13,7 +13,6 @@ from .audio import FrontendConfig, logmel, cmvn, spec_augment
 from .text import SubwordModel, Vocabulary, train_subwords, encode, decode
 from .losses import (
     CtcInfeasibleError,
-    ctc_loss,
     ctc_loss_batch,
     label_smoothed_ce,
     multitask_loss,
@@ -55,7 +54,6 @@ __all__ = [
     "encode",
     "decode",
     "CtcInfeasibleError",
-    "ctc_loss",
     "ctc_loss_batch",
     "label_smoothed_ce",
     "multitask_loss",

@@ -89,13 +89,6 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return fb
 
 
-def filter_center_hz(cfg: FrontendConfig, j: int) -> float:
-    """Center frequency of mel channel j, for reference and testing."""
-    high = cfg.sample_rate / 2 if cfg.mel_high is None else cfg.mel_high
-    points_mel = np.linspace(hz_to_mel(cfg.mel_low), hz_to_mel(high), N_MELS + 2)
-    return float(mel_to_hz(points_mel[j + 1]))
-
-
 def logmel(waveform, cfg: FrontendConfig) -> np.ndarray:
     """Short-time log-mel analysis of a 1-D waveform.
 
@@ -127,43 +120,37 @@ def logmel(waveform, cfg: FrontendConfig) -> np.ndarray:
     return np.log(np.maximum(mel, cfg.log_floor))
 
 
-def cmvn(features: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Per-utterance, per-channel mean and variance normalization."""
+def cmvn(features: np.ndarray) -> np.ndarray:
+    """Per-utterance, per-channel mean and variance normalization; a
+    channel's deviation is floored at 1e-8, so a constant one stays finite."""
     mu = features.mean(axis=0, keepdims=True)
     sd = features.std(axis=0, keepdims=True)
-    return (features - mu) / np.maximum(sd, eps)
+    return (features - mu) / np.maximum(sd, 1e-8)
 
 
-def spec_augment(features: np.ndarray, cfg: TrainConfig, rng: RngStream,
-                 return_masks: bool = False):
+def spec_augment(features: np.ndarray, cfg: TrainConfig, rng: RngStream) -> np.ndarray:
     """Apply frequency and time masking to a copy of `features`.
 
     cfg.sa_freq_masks frequency masks each zero a contiguous band of u
     channels, u drawn uniformly from {0..cfg.sa_freq_width}; cfg.sa_time_masks
     time masks likewise span u frames with u up to cfg.sa_time_fraction *
     frames.  Mask placement is uniform over positions that keep the band in
-    bounds.
-
-    Returns the masked copy, or (copy, masks) with masks as a list of
-    ("freq"|"time", start, width) rectangles when return_masks is set.
+    bounds.  Returns the masked copy.
     """
     out = np.array(features, dtype=np.float64, copy=True)
     n_frames, n_chan = out.shape
-    masks = []
     for _ in range(cfg.sa_freq_masks):
         width = int(rng.integers(0, cfg.sa_freq_width + 1))
         start = int(rng.integers(0, n_chan - width + 1))
-        masks.append(("freq", start, width))
         if width:
             out[:, start:start + width] = 0.0
     max_t = int(cfg.sa_time_fraction * n_frames)
     for _ in range(cfg.sa_time_masks):
         width = int(rng.integers(0, max_t + 1))
         start = int(rng.integers(0, n_frames - width + 1))
-        masks.append(("time", start, width))
         if width:
             out[start:start + width, :] = 0.0
-    return (out, masks) if return_masks else out
+    return out
 
 
 def filter_utterances(entries: list) -> list:

@@ -13,7 +13,6 @@ import numpy as np
 from .losses import (
     CtcInfeasibleError,
     ctc_feasible,
-    ctc_loss,
     ctc_loss_batch,
     ctc_loss_brute_force,
     label_smoothed_ce,
@@ -40,7 +39,11 @@ def _param(rng: RngStream, *shape) -> Tensor:
     return Tensor(rng.normal(0.0, 1.0, size=shape), requires_grad=True)
 
 
-def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
+def _sum_sq(y: Tensor) -> Tensor:
+    return (y * y).sum()
+
+
+def op_gradcheck_sweep(seed: int = 0) -> dict:
     """Gradient-check every differentiable op on random small shapes.
 
     Returns {op name: max relative error}.
@@ -49,7 +52,7 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
     results = {}
 
     def check(name, f, params):
-        results[name] = grad_check(f, params, eps=eps)
+        results[name] = grad_check(f, params)
 
     a = _param(rng, 4, 5)
     b = _param(rng, 4, 5)
@@ -57,7 +60,6 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
     check("add", lambda: (a + b + row).sum(), [a, b, row])
     check("mul", lambda: (a * b * 0.7).sum(), [a, b])
     check("neg", lambda: (-a).sum(), [a])
-    check("pow", lambda: ((a * a + 1.0) ** 1.5).sum(), [a])
 
     m1 = _param(rng, 3, 4)
     m2 = _param(rng, 4, 6)
@@ -74,7 +76,7 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
     r = Tensor(r_data + np.sign(r_data) * 0.5, requires_grad=True)
     check("relu", lambda: r.relu().sum(), [r])
 
-    check("sum_axis", lambda: (x.sum(axis=1) ** 2.0).sum(), [x])
+    check("sum_axis", lambda: _sum_sq(x.sum(axis=1)), [x])
     check("mean", lambda: (x.mean(axis=0) * 3.0).sum(), [x])
     check("logsumexp", lambda: x.logsumexp(axis=1).sum(), [x])
     check("softmax", lambda: (x.softmax(axis=-1) * w_x).sum(), [x])
@@ -89,16 +91,16 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
 
     g = _param(rng, 5)
     beta = _param(rng, 5)
-    check("layer_norm", lambda: (layer_norm(x[:, :5], g, beta) ** 2.0).sum(),
+    check("layer_norm", lambda: _sum_sq(layer_norm(x[:, :5], g, beta)),
           [x, g, beta])
 
     w = _param(rng, 3, 4, 5)
     cx = _param(rng, 2, 8, 4)
-    check("conv1d", lambda: (conv1d(cx, w, stride=2, padding=1) ** 2.0).sum(),
+    check("conv1d", lambda: _sum_sq(conv1d(cx, w, stride=2, padding=1)),
           [cx, w])
     dw = _param(rng, 3, 4)
     check("depthwise_conv1d",
-          lambda: (depthwise_conv1d(cx, dw, padding=1) ** 2.0).sum(), [cx, dw])
+          lambda: _sum_sq(depthwise_conv1d(cx, dw, padding=1)), [cx, dw])
     check("glu", lambda: glu(cx).sum(), [cx])
     # A fresh stream with a fixed seed redraws the same mask every call,
     # which keeps the loss deterministic for the numeric probes.
@@ -106,13 +108,13 @@ def op_gradcheck_sweep(seed: int = 0, eps: float = 1e-5) -> dict:
     # Three queries aligned to the last of six keys, offsets clipped at 1.
     per_offset = _param(rng, 2, 3, 3)
     band = _param(rng, 2, 3, 6)
-    check("band_gather", lambda: (band_gather(per_offset, 6) ** 2.0).sum(),
+    check("band_gather", lambda: _sum_sq(band_gather(per_offset, 6)),
           [per_offset])
-    check("band_sum", lambda: (band_sum(band, 1) ** 2.0).sum(), [band])
+    check("band_sum", lambda: _sum_sq(band_sum(band, 1)), [band])
     return results
 
 
-def tiny_multitask_gradcheck(eps: float = 1e-5, seed: int = 0) -> float:
+def tiny_multitask_gradcheck(seed: int = 0) -> float:
     """Gradient-check every parameter of a tiny stacked-encoder model
     through the full multitask loss; returns the max relative error."""
     cfg = ModelConfig(vocab_size=7, variant="sate", enc_layers=3,
@@ -134,7 +136,7 @@ def tiny_multitask_gradcheck(eps: float = 1e-5, seed: int = 0) -> float:
                              [src_target]).mean()
         return multitask_loss(ce, ctc, 0.3)
 
-    return grad_check(f, [p for _, p in model.named_parameters()], eps=eps)
+    return grad_check(f, [p for _, p in model.named_parameters()])
 
 
 def ctc_oracle_sweep(trials: int = 100, seed: int = 0) -> float:
@@ -157,22 +159,18 @@ def ctc_oracle_sweep(trials: int = 100, seed: int = 0) -> float:
                 for trial in range(trials):
                     case = rng.child("case", t_frames, vocab, length, trial)
                     logits = case.normal(0.0, 2.0, size=(t_frames, vocab))
-                    log_probs = logits - _np_logsumexp_rows(logits)
+                    log_probs = logits - Tensor(logits).logsumexp(axis=1).data[:, None]
                     target = _draw_target(case, vocab, length, t_frames)
                     if target is None:
                         # No target of this length fits in t_frames: both
                         # implementations must refuse.
                         _assert_both_infeasible(log_probs, [1] * length)
                         break
-                    dp = float(ctc_loss(Tensor(log_probs), target, blank=0).data)
+                    dp = float(ctc_loss_batch(Tensor(log_probs[None]), [target],
+                                              blank=0).data[0])
                     ref = ctc_loss_brute_force(log_probs, target, blank=0)
                     worst = max(worst, abs(dp - ref))
     return worst
-
-
-def _np_logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
 
 
 def _draw_target(rng: RngStream, vocab: int, length: int, t_frames: int):
@@ -194,7 +192,7 @@ def _draw_target(rng: RngStream, vocab: int, length: int, t_frames: int):
 
 
 def _assert_both_infeasible(log_probs: np.ndarray, target: list):
-    for fn in (lambda: ctc_loss(Tensor(log_probs), target, blank=0),
+    for fn in (lambda: ctc_loss_batch(Tensor(log_probs[None]), [target], blank=0),
                lambda: ctc_loss_brute_force(log_probs, target, blank=0)):
         try:
             fn()

@@ -49,6 +49,7 @@ from .toy import ToyTaskConfig, toy_generate
 from .training import (
     TrainConfig,
     average_checkpoints,
+    check_run_dir,
     final_checkpoints,
     load_model,
     save_checkpoint,
@@ -184,6 +185,7 @@ def cmd_prepare(args) -> int:
 def _run_training(args, model, subwords, cfg: TrainConfig, start_epoch: int) -> int:
     if args.max_steps is not None and args.max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {args.max_steps}")
+    check_run_dir(args.out, start_epoch)
     samples = load_dataset(args.manifest, subwords)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.log")
@@ -278,13 +280,17 @@ def cmd_ctc_decode(args) -> int:
 
 
 def cmd_bleu(args) -> int:
-    hyp_of = {}
+    hyp_of, line_of = {}, {}
     with open(args.hyp, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             cols = line.split("\t")
+            if cols[0] in line_of:
+                raise ValueError(f"{args.hyp}:{n}: hypothesis id {cols[0]!r} "
+                                 f"repeats line {line_of[cols[0]]}")
+            line_of[cols[0]] = n
             hyp_of[cols[0]] = cols[1] if len(cols) > 1 else ""
     entries = read_manifest(args.ref)
     missing = [e.utt_id for e in entries if e.utt_id not in hyp_of]
@@ -306,12 +312,12 @@ def cmd_bleu(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     worst_name, worst = "", 0.0
-    for name, err in op_gradcheck_sweep(seed=args.seed, eps=args.eps).items():
+    for name, err in op_gradcheck_sweep(seed=args.seed).items():
         print(f"op {name}: {err:.3e}")
         if err > worst:
             worst_name, worst = name, err
     if not args.skip_model:
-        model_err = tiny_multitask_gradcheck(eps=args.eps, seed=args.seed)
+        model_err = tiny_multitask_gradcheck(seed=args.seed)
         print(f"tiny multitask model: {model_err:.3e}")
         if model_err > worst:
             worst_name, worst = "tiny multitask model", model_err
@@ -413,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="numeric-vs-analytic gradient verification")
-    p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--skip-model", action="store_true",

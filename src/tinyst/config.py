@@ -84,9 +84,3 @@ def read_config(path) -> dict:
                 raise ValueError(f"{path}:{n}: repeated key {key!r}")
             out[key] = raw.strip()
     return out
-
-
-def write_config(path, mapping: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in mapping.items():
-            fh.write(f"{key} = {format_value(value)}\n")

@@ -36,7 +36,10 @@ class ManifestEntry:
 
 
 def read_manifest(path) -> list:
+    """The manifest's rows in file order; blank lines are skipped and an
+    utterance id may appear on one row only."""
     entries = []
+    line_of = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != MANIFEST_COLUMNS:
@@ -55,6 +58,10 @@ def read_manifest(path) -> list:
             except ValueError:
                 raise ValueError(f"{path}:{n}: n_frames must be an integer, "
                                  f"got {cols[2]!r}") from None
+            if cols[0] in line_of:
+                raise ValueError(f"{path}:{n}: utterance id {cols[0]!r} "
+                                 f"repeats line {line_of[cols[0]]}")
+            line_of[cols[0]] = n
             entries.append(ManifestEntry(cols[0], cols[1], frames, cols[3], cols[4]))
     return entries
 

@@ -163,7 +163,7 @@ def greedy_decode(models: list, max_len: int) -> Hypothesis:
     return hyp
 
 
-def ctc_greedy_decode(ctc_logits, blank: int = BLANK_ID) -> list:
+def ctc_greedy_decode(ctc_logits) -> list:
     """Per-frame argmax, collapse consecutive repeats, drop blanks."""
     arr = ctc_logits.data if isinstance(ctc_logits, Tensor) else np.asarray(ctc_logits)
     if arr.ndim != 2:
@@ -172,7 +172,7 @@ def ctc_greedy_decode(ctc_logits, blank: int = BLANK_ID) -> list:
     out = []
     prev = None
     for sym in best:
-        if sym != prev and sym != blank:
+        if sym != prev and sym != BLANK_ID:
             out.append(int(sym))
         prev = sym
     return out

@@ -85,22 +85,13 @@ def ctc_loss_batch(log_probs: Tensor, targets, blank: int = BLANK_ID) -> Tensor:
     return -alpha[:, max(s - 2, 0):].logsumexp(axis=1)
 
 
-def ctc_loss(log_probs: Tensor, target, blank: int = BLANK_ID) -> Tensor:
-    """Single-utterance CTC loss; see ctc_loss_batch."""
-    if log_probs.ndim != 2:
-        raise ValueError(f"log_probs must be (T, V), got shape {log_probs.shape}")
-    t, v = log_probs.shape
-    return ctc_loss_batch(log_probs.reshape(1, t, v), [list(target)], blank=blank)[0]
-
-
-def label_smoothed_ce(logits: Tensor, targets, epsilon_ls: float = 0.1,
-                      pad: int = PAD_ID) -> Tensor:
+def label_smoothed_ce(logits: Tensor, targets, epsilon_ls: float = 0.1) -> Tensor:
     """Cross-entropy against the smoothed distribution
     q = (1 - eps) * onehot(target) + eps / V, averaged over non-pad tokens.
 
     Args:
         logits: (N, V) unnormalized scores.
-        targets: N reference ids; positions equal to `pad` are excluded.
+        targets: N reference ids; positions equal to PAD_ID are excluded.
         epsilon_ls: smoothing mass spread uniformly over the vocabulary.
 
     Returns:
@@ -112,7 +103,7 @@ def label_smoothed_ce(logits: Tensor, targets, epsilon_ls: float = 0.1,
     targets = np.asarray(list(targets), dtype=np.intp)
     if targets.shape != (n,):
         raise ValueError(f"{n} logit rows but {targets.size} targets")
-    keep = targets != pad
+    keep = targets != PAD_ID
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise ValueError("all target positions are padding")

@@ -169,18 +169,6 @@ class Tensor:
     def __neg__(self):
         return self * -1.0
 
-    def __pow__(self, exponent: float):
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported")
-        out = self.data ** exponent
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            self._accum(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._from_op(out, (self,), backward)
-
     def __matmul__(self, other):
         other = as_tensor(other)
         a, b = self.data, other.data
@@ -400,26 +388,36 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, gain, bias), backward)
 
 
+def _conv_windows(op: str, x: Tensor, k: int, c_w: int, stride: int,
+                  padding: int) -> tuple:
+    """Check a (B, T, C) input against a length-k kernel over c_w channels,
+    zero-pad its time axis and return (padded input, sliding windows of
+    shape (B, T_out, C, k), T, T_out).  Errors name `op`."""
+    if k < 1 or stride < 1:
+        raise ValueError(f"{op} needs kernel >= 1 and stride >= 1, "
+                         f"got {k} and {stride}")
+    if x.data.ndim != 3:
+        raise ValueError(f"{op} expects a (B, T, C) input, got shape {x.data.shape}")
+    _, t, c = x.data.shape
+    if c != c_w:
+        raise ValueError(f"{op} channel mismatch: input has {c}, weight expects {c_w}")
+    t_out = (t + 2 * padding - k) // stride + 1
+    if t_out <= 0:
+        raise ValueError(f"{op} input too short: length {t} with kernel {k}, "
+                         f"stride {stride}, padding {padding}")
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    return xp, windows, t, t_out
+
+
 def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D convolution over the time axis.
 
     x: (B, T, C_in); weight: (K, C_in, C_out); bias: (C_out,).
     Output length is floor((T + 2*padding - K) / stride) + 1.
     """
-    if stride < 1 or weight.data.shape[0] < 1:
-        raise ValueError("conv1d needs kernel >= 1 and stride >= 1")
-    if x.data.ndim != 3:
-        raise ValueError(f"conv1d expects a (B, T, C) input, got shape {x.data.shape}")
-    k, c_in, c_out = weight.data.shape
-    _, t, c = x.data.shape
-    if c != c_in:
-        raise ValueError(f"conv1d channel mismatch: input has {c}, weight expects {c_in}")
-    t_out = (t + 2 * padding - k) // stride + 1
-    if t_out <= 0:
-        raise ValueError(
-            f"conv1d input too short: length {t} with kernel {k}, stride {stride}, padding {padding}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    k, c_in, _ = weight.data.shape
+    xp, windows, t, t_out = _conv_windows("conv1d", x, k, c_in, stride, padding)
     # windows: (B, T_out, C_in, K) -> out[b,t,o] = sum_{c,k} win * w[k,c,o]
     out = np.tensordot(windows, weight.data, axes=([3, 2], [0, 1]))
     if bias is not None:
@@ -451,21 +449,8 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> 
 
     x: (B, T, C); weight: (K, C); bias: (C,).
     """
-    if weight.data.shape[0] < 1:
-        raise ValueError("depthwise conv needs kernel >= 1")
-    if x.data.ndim != 3:
-        raise ValueError(f"depthwise conv expects a (B, T, C) input, "
-                         f"got shape {x.data.shape}")
     k, c_w = weight.data.shape
-    _, t, c = x.data.shape
-    if c != c_w:
-        raise ValueError(f"depthwise conv channel mismatch: input has {c}, weight expects {c_w}")
-    t_out = t + 2 * padding - k + 1
-    if t_out <= 0:
-        raise ValueError(
-            f"conv1d input too short: length {t} with kernel {k}, padding {padding}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
+    xp, windows, t, t_out = _conv_windows("depthwise_conv1d", x, k, c_w, 1, padding)
     # windows: (B, T_out, C, K); out[b,t,c] = sum_k win[b,t,c,k] * w[k,c]
     out = np.einsum("btck,kc->btc", windows, weight.data)
     if bias is not None:
@@ -621,14 +606,14 @@ def glu(x: Tensor) -> Tensor:
     return x[..., :half] * x[..., half:].sigmoid()
 
 
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:
-    """Compare analytic gradients of `f()` against central differences.
+def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
+    """Compare analytic gradients of `f()` against central differences with
+    step 1e-5.
 
     `f` must be deterministic and return a scalar Tensor.  Returns the max
     over all coordinates of |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"grad_check eps must lie in [1e-7, 1e-3], got {eps}")
+    eps = 1e-5
     for p in params:
         p.grad = None
     f().backward()

@@ -39,9 +39,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.token_of)
 
-    def __contains__(self, token: str):
-        return token in self.id_of
-
     def id(self, token: str) -> int:
         return self.id_of.get(token, UNK_ID)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -259,13 +260,31 @@ def average_checkpoints(paths: list):
     return averaged, meta
 
 
+_EPOCH_NAME = re.compile(r"epoch(\d+)\.ckpt")
+
+
+def check_run_dir(directory, start_epoch: int):
+    """Refuse a run directory that already holds an epoch checkpoint
+    numbered after `start_epoch`: the new run would write beside it, and
+    averaging would mix the two runs' epochs."""
+    if not os.path.isdir(directory):
+        return
+    stale = {}
+    for name in os.listdir(directory):
+        m = _EPOCH_NAME.fullmatch(name)
+        if m and int(m[1]) > start_epoch:
+            stale[int(m[1])] = name
+    if stale:
+        raise ValueError(f"{directory} already holds {stale[min(stale)]}, after "
+                         f"start epoch {start_epoch}; train into a new directory")
+
+
 def final_checkpoints(directory, window: int = 10) -> list:
     """The last `window` (>= 1) per-epoch checkpoints in a run directory, by
     epoch."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    names = sorted(n for n in os.listdir(directory)
-                   if n.startswith("epoch") and n.endswith(".ckpt"))
+    names = sorted(n for n in os.listdir(directory) if _EPOCH_NAME.fullmatch(n))
     return [os.path.join(directory, n) for n in names[-window:]]
 
 
@@ -347,10 +366,13 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
     loss, backward, Adam step; one checkpoint per epoch when `out_dir` is
     given.  CTC-infeasible samples are dropped once up front with a count.
     `log` is called with each metric line (use print or file.write).
-    `max_steps`, when given, is at least 1.
+    `max_steps`, when given, is at least 1, and `out_dir` may hold no epoch
+    checkpoint numbered after `start_epoch` (see check_run_dir).
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if out_dir is not None:
+        check_run_dir(out_dir, start_epoch)
     usable, dropped = drop_ctc_infeasible(samples)
     if not usable:
         raise ValueError("no trainable samples after CTC feasibility filtering")

@@ -114,8 +114,8 @@ def baseline(workspace):
 
 def test_gradient_fidelity(capsys):
     t0 = time.perf_counter()
-    op_errs = op_gradcheck_sweep(seed=0, eps=1e-5)
-    model_err = tiny_multitask_gradcheck(eps=1e-5, seed=0)
+    op_errs = op_gradcheck_sweep(seed=0)
+    model_err = tiny_multitask_gradcheck(seed=0)
     elapsed = time.perf_counter() - t0
     worst_op = max(op_errs, key=op_errs.get)
     max_err = max(max(op_errs.values()), model_err)

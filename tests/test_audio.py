@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tinyst.audio import (FrontendConfig, cmvn, filter_center_hz,
-                          filter_utterances, load_features, logmel, read_wav,
+from tinyst.audio import (N_MELS, FrontendConfig, cmvn, filter_utterances,
+                          hz_to_mel, load_features, logmel, mel_to_hz, read_wav,
                           save_features, spec_augment, write_wav)
 from tinyst.rng import RngStream
 from tinyst.training import TrainConfig
@@ -52,8 +52,11 @@ class TestLogmel:
     def test_sinusoid_lands_in_its_mel_bin(self):
         cfg = FrontendConfig(fft_size=1024)
         t = np.arange(int(16000 * 0.6)) / 16000.0
-        for j in range(80):
-            f = filter_center_hz(cfg, j)
+        # Channel j's triangle peaks at the (j+1)-th of N_MELS + 2 points
+        # spaced evenly in mel from mel_low to the Nyquist frequency.
+        edges = np.linspace(hz_to_mel(cfg.mel_low), hz_to_mel(cfg.sample_rate / 2),
+                            N_MELS + 2)
+        for j, f in enumerate(mel_to_hz(edges[1:-1])):
             feats = logmel(0.5 * np.sin(2 * np.pi * f * t), cfg)
             interior = feats[2:-2]
             votes = np.bincount(interior.argmax(axis=1), minlength=80)
@@ -111,18 +114,19 @@ class TestSpecAugment:
                           sa_time_masks=2, sa_time_fraction=0.1)
         for trial in range(50):
             feats = rng.normal(size=(int(rng.integers(20, 120)), 80)) + 5.0
-            out, masks = spec_augment(feats, cfg, RngStream(trial),
-                                      return_masks=True)
+            out = spec_augment(feats, cfg, RngStream(trial))
             assert out.shape == feats.shape
-            inside = np.zeros(feats.shape, dtype=bool)
-            for kind, start, width in masks:
-                if kind == "freq":
-                    inside[:, start:start + width] = True
-                else:
-                    inside[start:start + width, :] = True
-            changed = out != feats
-            assert not np.any(changed & ~inside)
-            np.testing.assert_array_equal(out[inside], 0.0)
+            # No input value is 0, so the masks are the all-zero columns
+            # (frequency) and rows (time); nothing outside them changes.
+            zero_cols = (out == 0.0).all(axis=0)
+            zero_rows = (out == 0.0).all(axis=1)
+            inside = zero_rows[:, None] | zero_cols[None, :]
+            np.testing.assert_array_equal(out[~inside], feats[~inside])
+            for zeroed, masks, widest in (
+                    (zero_cols, cfg.sa_freq_masks, cfg.sa_freq_width),
+                    (zero_rows, cfg.sa_time_masks, int(cfg.sa_time_fraction * len(out)))):
+                runs = np.flatnonzero(np.diff(zeroed.astype(int), prepend=0) == 1)
+                assert len(runs) <= masks and zeroed.sum() <= masks * widest
 
     def test_freq_mask_budget(self):
         feats = np.random.default_rng(8).normal(size=(30, 80)) + 10.0

@@ -10,7 +10,7 @@ import pytest
 
 from tinyst.audio import write_wav
 from tinyst.cli import build_parser, main
-from tinyst.config import format_value, write_config
+from tinyst.config import format_value
 from tinyst.data import read_manifest, write_manifest, ManifestEntry
 from tinyst.decoding import DecodeConfig
 from tinyst.evaluation import corpus_bleu
@@ -59,18 +59,23 @@ class TestDataCommands:
         assert (workspace["prep"] / "vocab.txt").exists()
         assert (workspace["prep"] / "merges.txt").exists()
 
-    def test_prepare_extracts_wav(self, tmp_path):
+    @staticmethod
+    def _wav_manifest(tmp_path, ids):
+        """A manifest of one WAV per row, 0.3 s of noise each, under `ids`."""
         rng = RngStream(3)
         wav_dir = tmp_path / "audio"
         wav_dir.mkdir()
         entries = []
-        for i in range(2):
-            # 0.3 s of noise: 48 frames of 10 ms shift at 16 kHz.
-            wav = wav_dir / f"u{i}.wav"
+        for i, utt_id in enumerate(ids):
+            wav = wav_dir / f"wave{i}.wav"
             write_wav(wav, rng.uniform(-0.3, 0.3, size=4800), 16000)
-            entries.append(ManifestEntry(f"u{i}", str(wav), 0, "aa bb", "bb aa"))
+            entries.append(ManifestEntry(utt_id, str(wav), 0, "aa bb", "bb aa"))
         manifest = tmp_path / "raw.tsv"
         write_manifest(manifest, entries)
+        return manifest
+
+    def test_prepare_extracts_wav(self, tmp_path):
+        manifest = self._wav_manifest(tmp_path, ["u0", "u1"])
         out = tmp_path / "prep"
         assert main(["prepare", "--manifest", str(manifest), "--out", str(out),
                      "--vocab-size", "20"]) == 0
@@ -78,6 +83,15 @@ class TestDataCommands:
         assert len(prepared) == 2
         assert all(e.features.endswith(".feat") for e in prepared)
         assert all(e.n_frames == 28 for e in prepared)  # 1+(4800-400)//160
+
+    def test_prepare_rejects_repeated_id_before_writing(self, tmp_path, capsys):
+        # Both rows would share features/u1.feat, the second WAV's frames.
+        manifest = self._wav_manifest(tmp_path, ["u1", "u1"])
+        out = tmp_path / "prep"
+        assert main(["prepare", "--manifest", str(manifest), "--out", str(out),
+                     "--vocab-size", "20"]) == 1
+        assert "raw.tsv:3: utterance id 'u1' repeats line 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommands:
@@ -90,11 +104,7 @@ class TestTrainCommands:
 
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         conf = tmp_path / "tiny.conf"
-        write_config(conf, {"variant": "baseline", "hidden": 8, "heads": 2,
-                            "ffn": 16, "enc_layers": 2, "dec_layers": 1,
-                            "conv_kernel": 3, "epochs": 1, "frame_budget": 64,
-                            "warmup_steps": 5, "sa_freq_masks": 0,
-                            "sa_time_masks": 0})
+        conf.write_text(TINY_CONF + "sa_freq_masks = 0\nsa_time_masks = 0\n")
         out = tmp_path / "run"
         assert main(["train", "--manifest", str(workspace["prep"] / "train.tsv"),
                      "--subwords", str(workspace["prep"]), "--out", str(out),
@@ -184,6 +194,31 @@ class TestTrainCommands:
                      "--subwords", str(workspace["prep"]), "--out", str(out),
                      "--epochs", "1", "--max-steps", "2"]) == 0
         assert (out / "epoch0003.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_run_dir_with_a_later_epoch_is_refused_untouched(
+            self, workspace, tmp_path, capsys, command):
+        # finetune starts after epoch 2 of its checkpoint, train after 0;
+        # epoch0003.ckpt is stale from an earlier run into the same directory.
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "epoch0003.ckpt").write_bytes(
+            (workspace["run"] / "epoch0002.ckpt").read_bytes())
+        (run / "metrics.log").write_text("step=1 from the earlier run\n")
+        conf = tmp_path / "tiny.conf"
+        conf.write_text(TINY_CONF if command == "train" else "epochs = 1\n")
+        source = (["--checkpoint", str(workspace["run"] / "epoch0002.ckpt")]
+                  if command == "finetune" else [])
+        code = main([command, *source,
+                     "--manifest", str(workspace["prep"] / "train.tsv"),
+                     "--subwords", str(workspace["prep"]), "--out", str(run),
+                     "--config", str(conf), "--max-steps", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{run} already holds epoch0003.ckpt" in err
+        assert sorted(p.name for p in run.iterdir()) == ["epoch0003.ckpt",
+                                                         "metrics.log"]
+        assert (run / "metrics.log").read_text() == "step=1 from the earlier run\n"
 
     def test_finetune_from_average_continues_after_newest_source(
             self, workspace, tmp_path):
@@ -295,6 +330,17 @@ class TestDecodeCommands:
         refs = [normalize_for_ctc(e.transcript) for e in read_manifest(dev)]
         want = corpus_bleu(hyps, refs)
         assert capsys.readouterr().out == f"BLEU = {want:.2f}\n"
+
+    def test_bleu_repeated_hypothesis_id_fails(self, workspace, tmp_path, capsys):
+        entries = read_manifest(workspace["corpus"] / "dev.tsv")
+        lines = [f"{e.utt_id}\t{e.translation}\t0.0\n" for e in entries]
+        hyp = tmp_path / "twice.hyp"
+        hyp.write_text("".join(lines + lines[:1]))
+        code = main(["bleu", "--hyp", str(hyp),
+                     "--ref", str(workspace["corpus"] / "dev.tsv")])
+        assert code == 1
+        assert (f"twice.hyp:{len(lines) + 1}: hypothesis id '{entries[0].utt_id}' "
+                f"repeats line 1") in capsys.readouterr().err
 
     def test_bleu_missing_hypothesis_fails(self, workspace, tmp_path, capsys):
         hyp = tmp_path / "partial.hyp"

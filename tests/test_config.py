@@ -2,7 +2,7 @@
 
 import pytest
 
-from tinyst.config import boolean, converter, format_value, read_config, write_config
+from tinyst.config import boolean, converter, format_value, read_config
 
 
 class TestConverter:
@@ -24,7 +24,7 @@ class TestConfigIO:
         cfg = {"variant": "sate", "hidden": 64, "base_lr": 2e-3,
                "prenorm": True, "dlcl": False}
         p = tmp_path / "run.conf"
-        write_config(p, cfg)
+        p.write_text("".join(f"{k} = {format_value(v)}\n" for k, v in cfg.items()))
         assert read_config(p) == {k: format_value(v) for k, v in cfg.items()}
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -58,5 +58,5 @@ class TestConfigIO:
 
     def test_float_precision_survives(self, tmp_path):
         p = tmp_path / "c.conf"
-        write_config(p, {"lr": 0.1 + 0.2})
+        p.write_text(f"lr = {format_value(0.1 + 0.2)}\n")
         assert float(read_config(p)["lr"]) == 0.1 + 0.2

@@ -43,6 +43,13 @@ class TestManifest:
         with pytest.raises(ValueError, match="column"):
             read_manifest(path)
 
+    def test_repeated_id_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        write_manifest(path, _entries() + _entries()[:1])
+        with pytest.raises(ValueError,
+                           match=r"dup\.tsv:4: utterance id 'utt1' repeats line 2"):
+            read_manifest(path)
+
     def test_n_frames_must_be_int(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("id\tfeatures\tn_frames\ttranscript\ttranslation\n"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tinyst.losses import (CtcInfeasibleError, ctc_feasible, ctc_loss,
-                           ctc_loss_batch, ctc_loss_brute_force, ctc_min_frames,
+from tinyst.losses import (CtcInfeasibleError, ctc_feasible, ctc_loss_batch,
+                           ctc_loss_brute_force, ctc_min_frames,
                            label_smoothed_ce, multitask_loss)
 from tinyst.tensor import Tensor, grad_check
 from tinyst.training import TrainConfig
@@ -16,28 +16,32 @@ def random_log_probs(rng, t, v):
     return x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
+def one_utterance_ctc(lp, target) -> float:
+    """CTC loss of one (T, V) array of log-probabilities as a batch of one."""
+    return float(ctc_loss_batch(Tensor(lp[None]), [target], blank=0).data[0])
+
+
 class TestCtcKnownValues:
     def test_single_frame_single_label(self):
-        lp = Tensor(random_log_probs(np.random.default_rng(0), 1, 3))
-        loss = ctc_loss(lp, [1], blank=0)
-        np.testing.assert_allclose(loss.data, -lp.data[0, 1], atol=1e-12)
+        lp = random_log_probs(np.random.default_rng(0), 1, 3)
+        loss = one_utterance_ctc(lp, [1])
+        np.testing.assert_allclose(loss, -lp[0, 1], atol=1e-12)
 
     def test_two_frames_uniform_three_quarters(self):
         # vocab {blank, a} uniform: paths (a,-), (-,a), (a,a) carry 3/4
-        lp = Tensor(np.log(np.full((2, 2), 0.5)))
-        loss = ctc_loss(lp, [1], blank=0)
-        np.testing.assert_allclose(loss.data, -np.log(0.75), atol=1e-12)
+        loss = one_utterance_ctc(np.log(np.full((2, 2), 0.5)), [1])
+        np.testing.assert_allclose(loss, -np.log(0.75), atol=1e-12)
 
     def test_empty_target_is_all_blank_path(self):
         rng = np.random.default_rng(1)
-        lp = Tensor(random_log_probs(rng, 4, 3))
-        loss = ctc_loss(lp, [], blank=0)
-        np.testing.assert_allclose(loss.data, -lp.data[:, 0].sum(), atol=1e-12)
+        lp = random_log_probs(rng, 4, 3)
+        loss = one_utterance_ctc(lp, [])
+        np.testing.assert_allclose(loss, -lp[:, 0].sum(), atol=1e-12)
 
     def test_infeasible_raises_specific_error(self):
-        lp = Tensor(random_log_probs(np.random.default_rng(2), 2, 3))
+        lp = random_log_probs(np.random.default_rng(2), 2, 3)
         with pytest.raises(CtcInfeasibleError):
-            ctc_loss(lp, [1, 1], blank=0)  # repeat needs 3 frames
+            one_utterance_ctc(lp, [1, 1])  # repeat needs 3 frames
 
     def test_min_frames_counts_repeats(self):
         assert ctc_min_frames([1, 2, 3]) == 3
@@ -58,7 +62,7 @@ class TestCtcAgainstBruteForce:
                         if not ctc_feasible(t, tgt):
                             continue
                         lp = random_log_probs(rng, t, v)
-                        got = ctc_loss(Tensor(lp), tgt, blank=0).data
+                        got = one_utterance_ctc(lp, tgt)
                         want = ctc_loss_brute_force(lp, tgt, blank=0)
                         np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -67,8 +71,7 @@ class TestCtcAgainstBruteForce:
         lp = np.stack([random_log_probs(rng, 5, 4) for _ in range(6)])
         targets = [list(rng.integers(1, 4, size=2)) for _ in range(6)]
         batch = ctc_loss_batch(Tensor(lp), targets, blank=0).data
-        singles = [ctc_loss(Tensor(lp[i]), targets[i], blank=0).data
-                   for i in range(6)]
+        singles = [one_utterance_ctc(lp[i], targets[i]) for i in range(6)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -82,28 +85,28 @@ class TestCtcProperties:
             tgt = list(rng.integers(1, v, size=length))
             if not ctc_feasible(t, tgt):
                 continue
-            loss = float(ctc_loss(Tensor(random_log_probs(rng, t, v)), tgt,
-                                  blank=0).data)
+            loss = one_utterance_ctc(random_log_probs(rng, t, v), tgt)
             assert 0.0 < np.exp(-loss) <= 1.0 + 1e-12
 
     def test_reversed_target_changes_loss(self):
         rng = np.random.default_rng(6)
-        lp = Tensor(random_log_probs(rng, 6, 5))
-        a = float(ctc_loss(lp, [1, 2, 3], blank=0).data)
-        b = float(ctc_loss(lp, [3, 2, 1], blank=0).data)
+        lp = random_log_probs(rng, 6, 5)
+        a = one_utterance_ctc(lp, [1, 2, 3])
+        b = one_utterance_ctc(lp, [3, 2, 1])
         assert abs(a - b) > 1e-6
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        err = grad_check(lambda: ctc_loss(x.log_softmax(axis=-1), [1, 3, 1],
-                                          blank=0), [x])
+        x = Tensor(rng.normal(size=(1, 5, 4)), requires_grad=True)
+        err = grad_check(lambda: ctc_loss_batch(x.log_softmax(axis=-1), [[1, 3, 1]],
+                                                blank=0).sum(), [x])
         assert err < 1e-4
 
     def test_gradient_empty_target(self):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        err = grad_check(lambda: ctc_loss(x.log_softmax(axis=-1), [], blank=0), [x])
+        x = Tensor(rng.normal(size=(1, 3, 3)), requires_grad=True)
+        err = grad_check(lambda: ctc_loss_batch(x.log_softmax(axis=-1), [[]],
+                                                blank=0).sum(), [x])
         assert err < 1e-4
 
     def test_batch_gradient(self):
@@ -146,8 +149,8 @@ class TestLabelSmoothedCe:
         np.testing.assert_allclose(loss.data, nll, atol=1e-12)
 
     def test_closed_form_two_way(self):
-        logits = Tensor(np.array([[np.log(3.0), 0.0]]))
-        loss = label_smoothed_ce(logits, [0], epsilon_ls=0.1, pad=-1)
+        logits = Tensor(np.array([[0.0, np.log(3.0)]]))
+        loss = label_smoothed_ce(logits, [1], epsilon_ls=0.1)
         want = -(0.95 * np.log(0.75) + 0.05 * np.log(0.25))
         np.testing.assert_allclose(loss.data, want, atol=1e-12)
 

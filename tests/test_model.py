@@ -28,6 +28,10 @@ def tiny_cfg(**kw):
     return ModelConfig(**base)
 
 
+def sum_sq(y):
+    return (y * y).sum()
+
+
 def zero_params(module):
     for p in module.parameters():
         p.data[...] = 0.0
@@ -158,7 +162,7 @@ class TestRelativeAttention:
         x = Tensor(np.random.default_rng(5).normal(size=(1, 3, 4)),
                    requires_grad=True)
         params = [x] + attn.parameters()
-        err = grad_check(lambda: (attn(x, x, causal=True) ** 2.0).sum(), params)
+        err = grad_check(lambda: sum_sq(attn(x, x, causal=True)), params)
         assert err < 1e-4
 
 
@@ -366,7 +370,7 @@ class TestConformerBlock:
         block = ConformerBlock(cfg, RngStream(14))
         x = Tensor(np.random.default_rng(10).normal(size=(1, 3, 4)),
                    requires_grad=True)
-        err = grad_check(lambda: (block(x) ** 2.0).sum(), [x] + block.parameters())
+        err = grad_check(lambda: sum_sq(block(x)), [x] + block.parameters())
         assert err < 1e-4
 
 
@@ -394,7 +398,7 @@ class TestDlcl:
         dlcl = DlclCombiner(3, 4)
         outs = [Tensor(np.random.default_rng(13).normal(size=(1, 2, 4)))
                 for _ in range(3)]
-        loss = (dlcl.combine(outs, 2) ** 2.0).sum()
+        loss = sum_sq(dlcl.combine(outs, 2))
         loss.backward()
         grad = dlcl.weights.grad
         tri = np.tril(np.ones_like(grad))

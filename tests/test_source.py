@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "tinyst"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "tinyst"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -73,15 +74,14 @@ def test_gradient_check_sweep_reaches_every_op(monkeypatch):
     assert not ops - reached, f"ops no gradient check reaches: {sorted(ops - reached)}"
 
 
-def test_training_reaches_every_op_but_the_probe_power(monkeypatch):
+def test_training_reaches_every_op(monkeypatch):
     # An op that no training step runs is dead weight in the autodiff core.
-    # `**` stays for the gradient-check probes, which square their outputs.
     from tinyst.data import Sample
     from tinyst.model import VARIANTS, ModelConfig, SpeechTranslator
     from tinyst.rng import RngStream
     from tinyst.training import TrainConfig, train
 
-    ops = _ops_in_tensor_module() - {"Tensor.__pow__"}
+    ops = _ops_in_tensor_module()
     reached = _record_ops(monkeypatch)
     feats = RngStream(5).normal(0.0, 1.0, size=(16, 80))
     sample = Sample("u0", feats, [6, 7], [6, 7, 8])
@@ -92,3 +92,28 @@ def test_training_reaches_every_op_but_the_probe_power(monkeypatch):
         train(SpeechTranslator(cfg, RngStream(0)), [sample],
               TrainConfig(epochs=1, clip_norm=1.0), max_steps=1)
     assert not ops - reached, f"ops no training step reaches: {sorted(ops - reached)}"
+
+
+# Public names no program code calls: the references the acceptance test
+# checks decoding and the toy task against.
+ORACLES = {"greedy_decode", "edit_accuracy", "token_accuracy"}
+
+
+def test_every_public_name_is_used_by_the_program():
+    # The package's own modules and the benchmark are the program; the
+    # re-exports in __init__.py and the tests are not.
+    users = MODULES + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                             if p.name != "test_perfbench.py")
+    used = set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(
+        f"{path.name}:{node.name}" for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used | ORACLES)
+    assert not unused, f"public names only tests use: {unused}"

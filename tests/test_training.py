@@ -2,6 +2,7 @@
 training loop's determinism."""
 
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -511,6 +512,21 @@ class TestTrainLoop:
         train(loaded, samples, TrainConfig(epochs=1, frame_budget=32),
               out_dir=tmp_path, start_epoch=2)
         assert (tmp_path / "epoch0003.ckpt").exists()
+
+    def test_run_dir_with_a_later_epoch_refused_before_step_one(self, tmp_path):
+        samples, _ = _toy_samples(n=6)
+        model = _tiny_model()
+        save_model(tmp_path / "epoch0003.ckpt", model, step=4, epoch=3)
+        save_model(tmp_path / "epoch0010.ckpt", model, step=9, epoch=10)
+        logged = []
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{tmp_path} already holds epoch0003.ckpt")):
+            train(model, samples, TrainConfig(epochs=2, frame_budget=32),
+                  out_dir=tmp_path, log=logged.append, start_epoch=2)
+        assert logged == []
+        train(model, samples, TrainConfig(epochs=1, frame_budget=32),
+              out_dir=tmp_path, start_epoch=10, max_steps=1)
+        assert (tmp_path / "epoch0011.ckpt").exists()
 
     def test_step_graph_freed_before_next_forward(self, monkeypatch):
         samples, _ = _toy_samples()
