@@ -293,6 +293,11 @@ def cmd_bleu(args) -> int:
             line_of[cols[0]] = n
             hyp_of[cols[0]] = cols[1] if len(cols) > 1 else ""
     entries = read_manifest(args.ref)
+    ref_ids = {e.utt_id for e in entries}
+    for utt_id, n in line_of.items():
+        if utt_id not in ref_ids:
+            raise ValueError(f"{args.hyp}:{n}: hypothesis id {utt_id!r} "
+                             f"not in {args.ref}")
     missing = [e.utt_id for e in entries if e.utt_id not in hyp_of]
     if missing:
         raise ValueError(f"hypotheses missing for {missing[:3]} "

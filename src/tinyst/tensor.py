@@ -2,9 +2,10 @@
 
 The module defines the ops that the model, the losses and the
 gradient-check probes use, and no others.  Every model, loss and
-regularizer in this package is composed from them, so a single
-finite-difference checker (:func:`grad_check`) can exercise the whole
-system end to end.  Values are immutable after creation except for the
+regularizer in this package is composed from them, except the CTC loss,
+which is one node of its own (:mod:`tinyst.losses`); a single
+finite-difference checker (:func:`grad_check`) exercises both, and so the
+whole system end to end.  Values are immutable after creation except for the
 gradient accumulator; the graph is dynamic, built afresh on every forward
 pass.
 
@@ -235,20 +236,6 @@ class Tensor:
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis) * (1.0 / count)
 
-    def logsumexp(self, axis: int):
-        """log(sum(exp(x))) along `axis`, computed with max-subtraction."""
-        x = self.data
-        m = x.max(axis=axis, keepdims=True)
-        out_kd = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
-        out = np.squeeze(out_kd, axis=axis)
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            self._accum(np.expand_dims(g, axis) * np.exp(x - out_kd))
-
-        return Tensor._from_op(out, (self,), backward)
-
     # -- normalized outputs ----------------------------------------------------
 
     def softmax(self, axis: int = -1):
@@ -365,9 +352,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.data.shape != (dim,) or bias.data.shape != (dim,):
         raise ValueError(
             f"layer_norm gain/bias must have shape ({dim},), got {gain.data.shape} and {bias.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / dim is what ndarray.mean computes, without its
+    # per-call overhead.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / dim
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / dim
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
     out = gain.data * xhat + bias.data
@@ -381,8 +370,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             bias._accum(g.reshape(-1, dim).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            term = gx - gx.mean(axis=-1, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            term = gx - np.add.reduce(gx, axis=-1, keepdims=True) / dim \
+                - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / dim)
             x._accum(term * inv)
 
     return Tensor._from_op(out, (x, gain, bias), backward)

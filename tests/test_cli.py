@@ -342,6 +342,18 @@ class TestDecodeCommands:
         assert (f"twice.hyp:{len(lines) + 1}: hypothesis id '{entries[0].utt_id}' "
                 f"repeats line 1") in capsys.readouterr().err
 
+    def test_bleu_hypothesis_id_not_in_reference_fails(self, workspace, tmp_path,
+                                                       capsys):
+        dev = workspace["corpus"] / "dev.tsv"
+        entries = read_manifest(dev)
+        lines = [f"{e.utt_id}\t{e.translation}\t0.0\n" for e in entries]
+        hyp = tmp_path / "extra.hyp"
+        hyp.write_text("".join(lines + ["not-in-dev\tsome words\t0.0\n"]))
+        code = main(["bleu", "--hyp", str(hyp), "--ref", str(dev)])
+        assert code == 1
+        assert (f"extra.hyp:{len(lines) + 1}: hypothesis id 'not-in-dev' "
+                f"not in {dev}") in capsys.readouterr().err
+
     def test_bleu_missing_hypothesis_fails(self, workspace, tmp_path, capsys):
         hyp = tmp_path / "partial.hyp"
         hyp.write_text("dev-00000\tsome text\t0.0\n")

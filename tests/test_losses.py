@@ -6,7 +6,8 @@ import pytest
 from tinyst.losses import (CtcInfeasibleError, ctc_feasible, ctc_loss_batch,
                            ctc_loss_brute_force, ctc_min_frames,
                            label_smoothed_ce, multitask_loss)
-from tinyst.tensor import Tensor, grad_check
+from tinyst.tensor import LOG_ZERO, Tensor, grad_check
+from tinyst.text import BLANK_ID
 from tinyst.training import TrainConfig
 
 
@@ -19,6 +20,14 @@ def random_log_probs(rng, t, v):
 def one_utterance_ctc(lp, target) -> float:
     """CTC loss of one (T, V) array of log-probabilities as a batch of one."""
     return float(ctc_loss_batch(Tensor(lp[None]), [target], blank=0).data[0])
+
+
+def loss_and_grad(ctc, lp, targets, weights):
+    """Per-utterance losses and d(sum_i weights_i loss_i)/d log_probs."""
+    x = Tensor(lp, requires_grad=True)
+    loss = ctc(x, targets)
+    (loss * weights).sum().backward()
+    return loss.data, x.grad
 
 
 class TestCtcKnownValues:
@@ -42,6 +51,16 @@ class TestCtcKnownValues:
         lp = random_log_probs(np.random.default_rng(2), 2, 3)
         with pytest.raises(CtcInfeasibleError):
             one_utterance_ctc(lp, [1, 1])  # repeat needs 3 frames
+
+    @pytest.mark.parametrize("shape, targets, match", [
+        ((4, 3), [[1]], r"must be \(B, T, V\)"),
+        ((2, 4, 3), [[1]], "2 utterances but 1 targets"),
+        ((1, 4, 3), [[0]], "target 0 contains an invalid label id"),  # the blank
+        ((2, 4, 3), [[1], [3]], "target 1 contains an invalid label id"),
+    ])
+    def test_bad_input_rejected(self, shape, targets, match):
+        with pytest.raises(ValueError, match=match):
+            ctc_loss_batch(Tensor(np.zeros(shape)), targets, blank=0)
 
     def test_min_frames_counts_repeats(self):
         assert ctc_min_frames([1, 2, 3]) == 3
@@ -117,6 +136,17 @@ class TestCtcProperties:
                                    blank=0).sum(), [x])
         assert err < 1e-4
 
+    def test_log_zero_scale_log_probs_stay_finite(self):
+        # Dead-cell arithmetic must not overflow to inf or nan when the
+        # log-probabilities themselves are at LOG_ZERO scale.
+        rng = np.random.default_rng(15)
+        lp = np.stack([random_log_probs(rng, 6, 8) for _ in range(2)])
+        lp[0, :, 6] = LOG_ZERO  # a target label no frame can emit
+        lp[1] = LOG_ZERO * rng.uniform(0.5, 1.5, size=(6, 8))
+        loss, grad = loss_and_grad(ctc_loss_batch, lp, [[5, 6], [7, 7]], 1.0)
+        assert np.isfinite(loss).all() and loss[0] > 1e29
+        assert np.isfinite(grad).all()
+
     def test_long_time_axis_gradient_is_one_path_per_frame(self):
         # Each alignment path occupies exactly one state per frame, so the
         # gradient of the loss sums to -1 over the vocabulary at every frame.
@@ -130,6 +160,82 @@ class TestCtcProperties:
         assert np.isfinite(loss.data).all()
         loss.sum().backward()
         np.testing.assert_allclose(lp.grad.sum(axis=-1), -1.0, rtol=0, atol=1e-9)
+
+
+def loop_logsumexp(x: Tensor, axis: int) -> Tensor:
+    """log(sum(exp(x))) along `axis`, max-shifted, as an autodiff node."""
+    m = x.data.max(axis=axis, keepdims=True)
+    out_kd = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
+
+    def backward(g):
+        x._accum(np.expand_dims(g, axis) * np.exp(x.data - out_kd))
+
+    return Tensor._from_op(np.squeeze(out_kd, axis=axis), (x,), backward)
+
+
+def loop_ctc(log_probs: Tensor, targets, blank: int = BLANK_ID) -> Tensor:
+    """The oracle: the CTC forward algorithm unrolled on the autodiff graph,
+    one gather and one logsumexp node per frame, for equal-length targets.
+    Its gradient comes from autodiff, not from the occupancy formula."""
+    b, t_max, _ = log_probs.shape
+    (length,) = {len(t) for t in targets}
+    s = 2 * length + 1
+    ext = np.full((b, s), blank, dtype=np.intp)
+    for i, tgt in enumerate(targets):
+        ext[i, 1::2] = tgt
+    pred = np.arange(s)[:, None] - np.arange(3)
+    src = np.maximum(pred, 0)
+    live = np.broadcast_to(pred >= 0, (b, s, 3)).copy()
+    live[:, :, 2] &= (ext != blank) & (ext != ext[:, src[:, 2]])
+    mask = Tensor(np.where(live, 0.0, LOG_ZERO))
+    rows = np.arange(b)[:, None]
+    start = np.where(np.arange(s) < 2, 0.0, LOG_ZERO)
+    alpha = log_probs[(rows, 0, ext)] + start
+    for t in range(1, t_max):
+        alpha = loop_logsumexp(alpha[:, src] + mask, 2) + log_probs[(rows, t, ext)]
+    return -loop_logsumexp(alpha[:, max(s - 2, 0):], 1)
+
+
+def oracle_case(name):
+    """(log-probs (B, T, V), targets) for one named oracle case; labels
+    avoid BLANK_ID."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "long":  # the long workload's CTC shape
+        b, t, v, targets = 1, 188, 100, [list(rng.integers(5, 100, size=62))]
+    elif name == "toy":  # a full toy batch
+        b, t, v = 37, 12, 60
+        targets = [list(rng.integers(5, v, size=5)) for _ in range(b)]
+    elif name == "repeats":
+        b, t, v, targets = 3, 9, 8, [[5, 5, 6, 6], [7, 7, 7, 7], [6, 5, 6, 5]]
+    elif name == "empty":
+        b, t, v, targets = 2, 5, 6, [[], []]
+    else:  # "min_frames": both targets need exactly T' frames
+        b, t, v, targets = 2, 7, 9, [[5, 5, 6, 7, 7], [8, 8, 8, 6, 5]]
+        assert all(ctc_min_frames(tgt) == t for tgt in targets)
+    return np.stack([random_log_probs(rng, t, v) for _ in range(b)]), targets
+
+
+class TestCtcAgainstLoop:
+    @pytest.mark.parametrize("name", ["long", "toy", "repeats", "empty", "min_frames"])
+    def test_loss_and_gradient_match_the_loop(self, name):
+        lp, targets = oracle_case(name)
+        # Distinct weights check that each utterance gets its own upstream
+        # gradient.
+        weights = np.linspace(0.5, 1.5, len(targets))
+        loss, grad = loss_and_grad(ctc_loss_batch, lp, targets, weights)
+        want_loss, want_grad = loss_and_grad(loop_ctc, lp, targets, weights)
+        np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+    def test_ragged_batch_equals_its_utterances_one_at_a_time(self):
+        rng = np.random.default_rng(14)
+        targets = [[7, 7, 9], [], list(rng.integers(5, 30, size=9)), [5], [6, 8, 6]]
+        lp = np.stack([random_log_probs(rng, 20, 30) for _ in targets])
+        loss, grad = loss_and_grad(ctc_loss_batch, lp, targets, 1.0)
+        for i, tgt in enumerate(targets):
+            one_loss, one_grad = loss_and_grad(ctc_loss_batch, lp[i:i + 1], [tgt], 1.0)
+            np.testing.assert_array_equal(loss[i:i + 1], one_loss)
+            np.testing.assert_array_equal(grad[i:i + 1], one_grad)
 
 
 class TestLabelSmoothedCe:

@@ -28,10 +28,10 @@ def test_every_module_level_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def _ops_in_tensor_module() -> set:
-    """Qualified names of the functions in tensor.py that build a graph node
-    through `Tensor._from_op` (the ops with a backward)."""
-    tree = ast.parse((SOURCE / "tensor.py").read_text(encoding="utf-8"))
+def _graph_ops() -> set:
+    """Qualified names of the functions in the package that build a graph
+    node through `Tensor._from_op` (the ops with a backward): those of
+    tensor.py and the fused ones elsewhere, such as CTC."""
     ops = set()
 
     def visit(node, scope):
@@ -44,7 +44,8 @@ def _ops_in_tensor_module() -> set:
                     ops.add(name)
                 visit(child, scope + [child.name])
 
-    visit(tree, [])
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), [])
     return ops
 
 
@@ -67,8 +68,8 @@ def _record_ops(monkeypatch) -> set:
 def test_gradient_check_sweep_reaches_every_op(monkeypatch):
     from tinyst.checks import op_gradcheck_sweep
 
-    ops = _ops_in_tensor_module()
-    assert {"Tensor.__add__", "conv1d", "layer_norm"} <= ops
+    ops = _graph_ops()
+    assert {"Tensor.__add__", "conv1d", "layer_norm", "ctc_loss_batch"} <= ops
     reached = _record_ops(monkeypatch)
     op_gradcheck_sweep()
     assert not ops - reached, f"ops no gradient check reaches: {sorted(ops - reached)}"
@@ -81,7 +82,7 @@ def test_training_reaches_every_op(monkeypatch):
     from tinyst.rng import RngStream
     from tinyst.training import TrainConfig, train
 
-    ops = _ops_in_tensor_module()
+    ops = _graph_ops()
     reached = _record_ops(monkeypatch)
     feats = RngStream(5).normal(0.0, 1.0, size=(16, 80))
     sample = Sample("u0", feats, [6, 7], [6, 7, 8])
