@@ -32,9 +32,8 @@ from .decoding import (
     beam_search,
     ctc_greedy_decode,
     encode_for_decoding,
-    greedy_decode,
 )
-from .evaluation import corpus_bleu, edit_accuracy, token_accuracy
+from .evaluation import corpus_bleu
 from .toy import ToyTaskConfig, toy_generate
 
 __version__ = "0.1.0"
@@ -71,10 +70,7 @@ __all__ = [
     "beam_search",
     "ctc_greedy_decode",
     "encode_for_decoding",
-    "greedy_decode",
     "corpus_bleu",
-    "edit_accuracy",
-    "token_accuracy",
     "ToyTaskConfig",
     "toy_generate",
     "__version__",

@@ -101,19 +101,18 @@ def _best_candidates(scores: np.ndarray, k: int):
     return ranks[order], tokens[order]
 
 
-def beam_search(models: list, cfg: DecodeConfig,
-                max_len: int | None = None) -> list:
+def beam_search(models: list, cfg: DecodeConfig) -> list:
     """Decode one utterance with an ensemble of (model, EncoderOutput) pairs.
 
-    Returns finished hypotheses ranked by norm_score (best first).  If the
-    length cap fires with nothing finished, the best unfinished hypothesis
-    is returned alone, flagged finished=False.
+    Returns finished hypotheses ranked by norm_score (best first).  The
+    length cap is int(max_len_factor * T') + extra_len steps, T' being the
+    first encoder output's length.  If it fires with nothing finished, the
+    best unfinished hypothesis is returned alone, flagged finished=False.
     """
     if not models:
         raise ValueError("need at least one model")
-    if max_len is None:
-        t_prime = models[0][1].out_lengths[0]
-        max_len = int(cfg.max_len_factor * t_prime) + cfg.extra_len
+    t_prime = models[0][1].out_lengths[0]
+    max_len = int(cfg.max_len_factor * t_prime) + cfg.extra_len
     live = [Hypothesis([BOS_ID])]
     finished = []
     caches = [model.new_cache() for model, _ in models]
@@ -148,27 +147,12 @@ def beam_search(models: list, cfg: DecodeConfig,
     return [best]
 
 
-def greedy_decode(models: list, max_len: int) -> Hypothesis:
-    """Reference greedy decoder: argmax token each step until eos or cap."""
-    hyp = Hypothesis([BOS_ID])
-    caches = [model.new_cache() for model, _ in models]
-    with no_grad():
-        for _ in range(max_len):
-            row = _step(models, caches, [hyp.tokens[-1]])[0]
-            token = int(row.argmax())
-            hyp = Hypothesis(hyp.tokens + [token], hyp.logprob + row[token])
-            if token == EOS_ID:
-                hyp.finished = True
-                break
-    return hyp
-
-
-def ctc_greedy_decode(ctc_logits) -> list:
-    """Per-frame argmax, collapse consecutive repeats, drop blanks."""
-    arr = ctc_logits.data if isinstance(ctc_logits, Tensor) else np.asarray(ctc_logits)
-    if arr.ndim != 2:
-        raise ValueError(f"expected (T, V) logits, got shape {arr.shape}")
-    best = arr.argmax(axis=-1)
+def ctc_greedy_decode(ctc_logits: np.ndarray) -> list:
+    """Per-frame argmax of a (T, V) logit array, collapse consecutive
+    repeats, drop blanks."""
+    if ctc_logits.ndim != 2:
+        raise ValueError(f"expected (T, V) logits, got shape {ctc_logits.shape}")
+    best = ctc_logits.argmax(axis=-1)
     out = []
     prev = None
     for sym in best:

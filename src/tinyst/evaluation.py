@@ -1,4 +1,4 @@
-"""Corpus-level evaluation: 4-gram BLEU, edit distance, token accuracy.
+"""Corpus-level evaluation: 4-gram BLEU.
 
 BLEU is case-sensitive over whitespace tokens with brevity penalty.  At toy
 scale, higher-order n-gram matches can vanish entirely, so precisions for
@@ -62,54 +62,3 @@ def corpus_bleu(hypotheses: list, references: list) -> float:
         log_precision += math.log(m / t) / MAX_N
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_precision)
-
-
-def edit_distance(a: list, b: list) -> int:
-    """Levenshtein distance between two token sequences."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, 1):
-        cur = [i]
-        for j, y in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
-
-
-def edit_accuracy(hypotheses: list, references: list) -> float:
-    """1 - (total edit distance / total reference tokens), floored at 0.
-
-    Token sequences are whitespace splits; measures how much of the
-    reference survives in the hypothesis, robust to length mismatch.
-    """
-    if len(hypotheses) != len(references):
-        raise ValueError(f"{len(hypotheses)} hypotheses vs "
-                         f"{len(references)} references")
-    total_dist = 0
-    total_ref = 0
-    for hyp, ref in zip(hypotheses, references):
-        h, r = hyp.split(), ref.split()
-        total_dist += edit_distance(h, r)
-        total_ref += len(r)
-    if total_ref == 0:
-        raise ValueError("references contain no tokens")
-    return max(0.0, 1.0 - total_dist / total_ref)
-
-
-def token_accuracy(hypotheses: list, references: list) -> float:
-    """Position-aligned token match rate: sum of per-position matches over
-    sum of max(len(hyp), len(ref))."""
-    if len(hypotheses) != len(references):
-        raise ValueError(f"{len(hypotheses)} hypotheses vs "
-                         f"{len(references)} references")
-    match = 0
-    denom = 0
-    for hyp, ref in zip(hypotheses, references):
-        h, r = hyp.split(), ref.split()
-        match += sum(1 for x, y in zip(h, r) if x == y)
-        denom += max(len(h), len(r))
-    if denom == 0:
-        raise ValueError("no tokens to score")
-    return match / denom

@@ -267,7 +267,9 @@ class MultiHeadAttention(Module):
     al. 2018).  The scores q . a_K are computed once per offset, as
     (B, H, Tq, 2R+1), and `band_gather` spreads them over the keys.  For the
     values, `band_sum` adds up each row's attention weights per offset,
-    and the sums multiply a_V.
+    and the sums multiply a_V.  Both ops move between offsets and keys by
+    the relative shift of Transformer-XL (Dai et al. 2019), a reshape of a
+    (Tq, Tq+Tk) buffer, so no index arrays are built or kept.
 
     Given a cache, the keys and values come from it (see
     `SelfAttentionCache` and `MemoryCache`), and the queries are the last

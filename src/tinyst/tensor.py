@@ -17,7 +17,6 @@ passes NaN-free.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,8 +193,8 @@ class Tensor:
 
     def sigmoid(self):
         x = self.data
-        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.maximum(x, 0))),
-                       np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))))
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, e) / (1.0 + e)
         if not _tracking(self):
             return Tensor(out)
 
@@ -268,8 +267,6 @@ class Tensor:
     # -- shape manipulation ----------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out = self.data.reshape(shape)
         if not _tracking(self):
             return Tensor(out)
@@ -281,8 +278,6 @@ class Tensor:
         return Tensor._from_op(out, (self,), backward)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         if not axes:
             axes = tuple(range(self.data.ndim - 1, -1, -1))
         out = self.data.transpose(axes)
@@ -462,88 +457,57 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> 
     return Tensor._from_op(out, tuple(parents), backward)
 
 
-def relative_position_index(t_query: int, t_key: int, max_rel: int) -> np.ndarray:
-    """Offset row for each (i, j): clip(j - i', ±max_rel) + max_rel, where
-    query row i sits at key position i' = i + t_key - t_query (the queries
-    are the last t_query of the keys)."""
-    offsets = (np.arange(t_key)[None, :]
-               - np.arange(t_key - t_query, t_key)[:, None])
-    return np.clip(offsets, -max_rel, max_rel) + max_rel
+def _shifted(buf: np.ndarray, t_key: int) -> np.ndarray:
+    """The relative shift of Transformer-XL (Dai et al. 2019): a
+    (..., Tq, t_key) view of a contiguous (..., Tq, Tq + t_key) buffer whose
+    row i starts at buffer column Tq-1-i of row i.  Column m of the buffer
+    then holds offset m - (t_key-1) in every row, so the band is filled or
+    read by column slices of the buffer, with no index arrays."""
+    *lead, t_query, width = buf.shape
+    flat = buf.reshape(*lead, t_query * width)
+    rows = flat[..., t_query - 1:t_query - 1 + t_query * (width - 1)]
+    return rows.reshape(*lead, t_query, width - 1)[..., :t_key]
 
 
-def _make_band_plan(t_query: int, t_key: int, max_rel: int) -> tuple:
-    """Flat indices between a (t_query, 2*max_rel+1) table of per-offset
-    values and the (t_query, t_key) band it spreads to.
-
-    `flat[i*t_key + j]` is the table entry i*(2*max_rel+1) +
-    relative_position_index[i, j].  It never decreases, so equal entries
-    form runs: `starts` are where the runs begin and `targets` the entry
-    each run belongs to.  The arrays are read-only because the plan cache
-    hands them to every caller.
-    """
-    n_rel = 2 * max_rel + 1
-    flat = (relative_position_index(t_query, t_key, max_rel)
-            + n_rel * np.arange(t_query)[:, None]).ravel()
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    targets = flat[starts]
-    for arr in (flat, starts, targets):
-        arr.flags.writeable = False
-    return flat, starts, targets
-
-
-class _PlanCache:
-    """The least recently used band plans, keyed by (t_query, t_key,
-    max_rel) and bounded by their bytes, not their count.
-
-    A decoder step meets a new key length each time but needs a plan of a
-    few KB, while one encoder plan at T' = 262 and max_rel = 100 is about
-    1.2 MB.  The newest plan stays even when it alone exceeds the budget.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self.plans = OrderedDict()
-
-    def __call__(self, t_query: int, t_key: int, max_rel: int) -> tuple:
-        key = (t_query, t_key, max_rel)
-        plan = self.plans.get(key)
-        if plan is not None:
-            self.plans.move_to_end(key)
-            return plan
-        plan = self.plans[key] = _make_band_plan(t_query, t_key, max_rel)
-        self.nbytes += sum(a.nbytes for a in plan)
-        while self.nbytes > self.budget and len(self.plans) > 1:
-            _, old = self.plans.popitem(last=False)
-            self.nbytes -= sum(a.nbytes for a in old)
-        return plan
-
-
-_band_plan = _PlanCache(budget=8 * 2 ** 20)
+def _offset_columns(t_query: int, t_key: int, max_rel: int) -> tuple:
+    """(lo, m0, m1) for the buffer of `_shifted`: its column m holds table
+    column m - lo while m0 <= m < m1; the columns left of m0 clip to table
+    column 0 and those from m1 on to table column 2*max_rel."""
+    lo = t_key - 1 - max_rel
+    return lo, max(lo, 0), min(t_key + max_rel, t_query + t_key)
 
 
 def _gather_band(x: np.ndarray, t_key: int) -> np.ndarray:
+    """The band of `band_gather`, as a view of a fresh buffer."""
     *lead, t_query, n_rel = x.shape
-    flat, _, _ = _band_plan(t_query, t_key, n_rel // 2)
-    out = np.take(x.reshape(*lead, t_query * n_rel), flat, axis=-1)
-    return out.reshape(*lead, t_query, t_key)
+    lo, m0, m1 = _offset_columns(t_query, t_key, n_rel // 2)
+    buf = np.empty((*lead, t_query, t_query + t_key))
+    buf[..., m0:m1] = x[..., m0 - lo:m1 - lo]
+    buf[..., :m0] = x[..., :1]
+    buf[..., m1:] = x[..., -1:]
+    return _shifted(buf, t_key)
 
 
 def _sum_band(x: np.ndarray, max_rel: int) -> np.ndarray:
     *lead, t_query, t_key = x.shape
-    n_rel = 2 * max_rel + 1
-    _, starts, targets = _band_plan(t_query, t_key, max_rel)
-    runs = np.add.reduceat(x.reshape(*lead, t_query * t_key), starts, axis=-1)
-    out = np.zeros((*lead, t_query * n_rel))
-    out[..., targets] = runs
-    return out.reshape(*lead, t_query, n_rel)
+    lo, m0, m1 = _offset_columns(t_query, t_key, max_rel)
+    buf = np.zeros((*lead, t_query, t_query + t_key))
+    _shifted(buf, t_key)[...] = x
+    out = np.zeros((*lead, t_query, 2 * max_rel + 1))
+    out[..., m0 - lo:m1 - lo] = buf[..., m0:m1]
+    out[..., 0] += buf[..., :m0].sum(axis=-1)
+    out[..., -1] += buf[..., m1:].sum(axis=-1)
+    return out
 
 
 def band_gather(x: Tensor, t_key: int) -> Tensor:
     """Spread per-offset values over the relative-position band: x is
     (..., t_query, 2R+1) and the result (..., t_query, t_key) holds
-    x[..., i, relative_position_index(t_query, t_key, R)[i, j]] at (i, j).
-    Its adjoint is `band_sum`."""
+    x[..., i, clip(j - i', -R, R) + R] at (i, j), where query row i sits at
+    key position i' = i + t_key - t_query (the queries are the last t_query
+    of the keys).  It writes x into a buffer by column slices and reads the
+    band out through the relative shift (`_shifted`).  Its adjoint is
+    `band_sum`."""
     if x.data.ndim < 2 or x.data.shape[-1] % 2 == 0:
         raise ValueError(f"band_gather needs a (..., t_query, 2R+1) input, "
                          f"got shape {x.data.shape}")
@@ -554,12 +518,16 @@ def band_gather(x: Tensor, t_key: int) -> Tensor:
     def backward(g):
         x._accum(_sum_band(g, x.data.shape[-1] // 2))
 
-    return Tensor._from_op(out, (x,), backward)
+    # A graph node keeps its data until backward: copy the band out so that
+    # the node does not hold the whole buffer, twice the band's size.
+    return Tensor._from_op(out.copy(), (x,), backward)
 
 
 def band_sum(x: Tensor, max_rel: int) -> Tensor:
     """Sum a (..., t_query, t_key) array per clipped relative offset into
-    (..., t_query, 2*max_rel+1): the adjoint of `band_gather`."""
+    (..., t_query, 2*max_rel+1): the adjoint of `band_gather`.  It writes the
+    band into a zeroed buffer through the relative shift (`_shifted`) and
+    folds the buffer's columns back onto the offsets."""
     if x.data.ndim < 2 or max_rel < 0:
         raise ValueError(f"band_sum needs a (..., t_query, t_key) input and "
                          f"max_rel >= 0, got shape {x.data.shape}, max_rel {max_rel}")

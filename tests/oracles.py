@@ -1,0 +1,89 @@
+"""Reference implementations the tests check the program against.
+
+`relative_position_index` defines the clipped relative-position band that
+the band ops and relative attention are checked on; `greedy_decode` is the
+decoder beam search must equal at beam 1; `edit_distance`,
+`edit_accuracy` and `token_accuracy` score the toy task and the CTC branch
+in the acceptance suite.  The program itself scores with BLEU only.
+"""
+
+import numpy as np
+
+from tinyst.decoding import Hypothesis, _step
+from tinyst.tensor import no_grad
+from tinyst.text import BOS_ID, EOS_ID
+
+
+def relative_position_index(t_query: int, t_key: int, max_rel: int) -> np.ndarray:
+    """Offset row for each (i, j): clip(j - i', ±max_rel) + max_rel, where
+    query row i sits at key position i' = i + t_key - t_query (the queries
+    are the last t_query of the keys)."""
+    offsets = (np.arange(t_key)[None, :]
+               - np.arange(t_key - t_query, t_key)[:, None])
+    return np.clip(offsets, -max_rel, max_rel) + max_rel
+
+
+def greedy_decode(models: list, max_len: int) -> Hypothesis:
+    """Argmax token each step until eos or `max_len` tokens."""
+    hyp = Hypothesis([BOS_ID])
+    caches = [model.new_cache() for model, _ in models]
+    with no_grad():
+        for _ in range(max_len):
+            row = _step(models, caches, [hyp.tokens[-1]])[0]
+            token = int(row.argmax())
+            hyp = Hypothesis(hyp.tokens + [token], hyp.logprob + row[token])
+            if token == EOS_ID:
+                hyp.finished = True
+                break
+    return hyp
+
+
+def edit_distance(a: list, b: list) -> int:
+    """Levenshtein distance between two token sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def edit_accuracy(hypotheses: list, references: list) -> float:
+    """1 - (total edit distance / total reference tokens), floored at 0.
+
+    Token sequences are whitespace splits; measures how much of the
+    reference survives in the hypothesis, robust to length mismatch.
+    """
+    if len(hypotheses) != len(references):
+        raise ValueError(f"{len(hypotheses)} hypotheses vs "
+                         f"{len(references)} references")
+    total_dist = 0
+    total_ref = 0
+    for hyp, ref in zip(hypotheses, references):
+        h, r = hyp.split(), ref.split()
+        total_dist += edit_distance(h, r)
+        total_ref += len(r)
+    if total_ref == 0:
+        raise ValueError("references contain no tokens")
+    return max(0.0, 1.0 - total_dist / total_ref)
+
+
+def token_accuracy(hypotheses: list, references: list) -> float:
+    """Position-aligned token match rate: sum of per-position matches over
+    sum of max(len(hyp), len(ref))."""
+    if len(hypotheses) != len(references):
+        raise ValueError(f"{len(hypotheses)} hypotheses vs "
+                         f"{len(references)} references")
+    match = 0
+    denom = 0
+    for hyp, ref in zip(hypotheses, references):
+        h, r = hyp.split(), ref.split()
+        match += sum(1 for x, y in zip(h, r) if x == y)
+        denom += max(len(h), len(r))
+    if denom == 0:
+        raise ValueError("no tokens to score")
+    return match / denom

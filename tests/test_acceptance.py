@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import edit_accuracy, greedy_decode, token_accuracy
 from tinyst.audio import FrontendConfig, filter_utterances, logmel
 from tinyst.checks import (
     ctc_oracle_sweep,
@@ -34,9 +35,8 @@ from tinyst.decoding import (
     ctc_greedy_decode,
     encode_for_decoding,
     ensemble_log_prob,
-    greedy_decode,
 )
-from tinyst.evaluation import corpus_bleu, edit_accuracy, token_accuracy
+from tinyst.evaluation import corpus_bleu
 from tinyst.model import ModelConfig, SpeechTranslator, downsampled_length
 from tinyst.rng import RngStream
 from tinyst.text import decode as sw_decode, normalize_for_ctc, train_subwords

@@ -8,6 +8,7 @@ at a time, and sorts every candidate in Python.
 import numpy as np
 import pytest
 
+from oracles import greedy_decode
 from tinyst.decoding import (
     DecodeConfig,
     Hypothesis,
@@ -15,7 +16,6 @@ from tinyst.decoding import (
     ctc_greedy_decode,
     encode_for_decoding,
     ensemble_log_prob,
-    greedy_decode,
     length_normalize,
 )
 from tinyst.model import EncoderOutput, ModelConfig, SpeechTranslator
@@ -62,14 +62,19 @@ class ScriptedModel:
             return Tensor(np.log(np.asarray(probs, dtype=np.float64)))
 
 
-def reference_beam_search(models, cfg, max_len):
+def length_cap(models, cfg):
+    """Beam search's length cap: int(max_len_factor * T') + extra_len."""
+    return int(cfg.max_len_factor * models[0][1].out_lengths[0]) + cfg.extra_len
+
+
+def reference_beam_search(models, cfg):
     """The prefix-recompute beam search: each live hypothesis's next-token
     row comes from a teacher-forced pass over its whole prefix, and every
     candidate is sorted by (score, token id, parent rank)."""
     live = [Hypothesis([BOS_ID])]
     finished = []
     with no_grad():
-        for _ in range(max_len):
+        for _ in range(length_cap(models, cfg)):
             if not live:
                 break
             candidates = []
@@ -215,10 +220,13 @@ class TestCtcGreedyDecode:
         logits[:, BLANK_ID] = 5.0
         assert ctc_greedy_decode(logits) == []
 
-    def test_accepts_tensor(self):
-        logits = np.full((2, V), -5.0)
-        logits[:, A] = 5.0
-        assert ctc_greedy_decode(Tensor(logits)) == [A]
+    def test_takes_one_utterance_of_a_batch(self):
+        # The CLI passes row 0 of the encoder's (B, T, V) CTC logits.
+        logits = np.full((2, 2, V), -5.0)
+        logits[0, :, A] = 5.0
+        logits[1, :, B] = 5.0
+        assert ctc_greedy_decode(logits[0]) == [A]
+        assert ctc_greedy_decode(logits[1]) == [B]
 
     def test_rank_checked(self):
         with pytest.raises(ValueError):
@@ -270,8 +278,8 @@ class TestBeamSearch:
 
     def test_unfinished_fallback_flagged(self):
         model = ScriptedModel({}, default=_probs(a=0.7, b=0.3))
-        hyps = beam_search([(model, _fake_enc(4))], DecodeConfig(beam=2),
-                           max_len=3)
+        hyps = beam_search([(model, _fake_enc(3))],
+                           DecodeConfig(beam=2, extra_len=0))
         assert len(hyps) == 1
         assert not hyps[0].finished
         assert hyps[0].tokens == [BOS_ID, A, A, A]
@@ -293,8 +301,8 @@ class TestBeamSearch:
             (BOS_ID, A): _probs(a=0.5, b=0.5),
             (BOS_ID, B): _probs(a=0.5, b=0.5),
         }, default=_probs(eos=1.0))
-        hyps = beam_search([(model, _fake_enc())], DecodeConfig(beam=3),
-                           max_len=3)
+        hyps = beam_search([(model, _fake_enc(3))],
+                           DecodeConfig(beam=3, extra_len=0))
         assert model.stepped[1] == [(BOS_ID, A), (BOS_ID, B)]
         assert model.stepped[2] == [(BOS_ID, A, A), (BOS_ID, B, A),
                                     (BOS_ID, A, B)]
@@ -317,9 +325,10 @@ class TestBeamSearch:
         for trial in range(10):
             feats = rng.normal(size=(int(rng.integers(8, 24)), 80))
             enc = encode_for_decoding(model, feats)
-            beam_hyp = beam_search([(model, enc)], DecodeConfig(beam=1),
-                                   max_len=8)[0]
-            greedy_hyp = greedy_decode([(model, enc)], max_len=8)
+            cfg = DecodeConfig(beam=1, extra_len=4)
+            beam_hyp = beam_search([(model, enc)], cfg)[0]
+            greedy_hyp = greedy_decode([(model, enc)],
+                                       length_cap([(model, enc)], cfg))
             assert beam_hyp.tokens == greedy_hyp.tokens
             assert beam_hyp.logprob == pytest.approx(greedy_hyp.logprob,
                                                      rel=1e-12)
@@ -331,8 +340,9 @@ class TestBeamSearch:
         model = SpeechTranslator(cfg, RngStream(12))
         feats = RngStream(14).normal(size=(16, 80))
         enc = encode_for_decoding(model, feats)
-        first = beam_search([(model, enc)], DecodeConfig(beam=4), max_len=6)
-        second = beam_search([(model, enc)], DecodeConfig(beam=4), max_len=6)
+        cfg = DecodeConfig(beam=4, extra_len=2)  # T' = 4: 6 steps
+        first = beam_search([(model, enc)], cfg)
+        second = beam_search([(model, enc)], cfg)
         assert [h.tokens for h in first] == [h.tokens for h in second]
         assert [h.norm_score for h in first] == [h.norm_score for h in second]
 
@@ -343,8 +353,9 @@ class TestBeamSearch:
         model = SpeechTranslator(cfg, RngStream(12))
         feats = RngStream(15).normal(size=(16, 80))
         enc = encode_for_decoding(model, feats)
-        single = beam_search([(model, enc)], DecodeConfig(beam=3), max_len=6)
-        six = beam_search([(model, enc)] * 6, DecodeConfig(beam=3), max_len=6)
+        cfg = DecodeConfig(beam=3, extra_len=2)  # T' = 4: 6 steps
+        single = beam_search([(model, enc)], cfg)
+        six = beam_search([(model, enc)] * 6, cfg)
         assert [h.tokens for h in single] == [h.tokens for h in six]
         for a, b in zip(single, six):
             assert a.logprob == pytest.approx(b.logprob, abs=1e-12)
@@ -375,9 +386,9 @@ class TestAgainstRecomputeOracle:
         models = _oracle_models(variant, seeds)
         longest = 0
         for beam in (1, 2, 5):
-            cfg = DecodeConfig(beam=beam)
-            got = beam_search(models, cfg, max_len=9)
-            want = reference_beam_search(models, cfg, max_len=9)
+            cfg = DecodeConfig(beam=beam, extra_len=3)  # T' = 6: 9 steps
+            got = beam_search(models, cfg)
+            want = reference_beam_search(models, cfg)
             assert [h.tokens for h in got] == [h.tokens for h in want]
             assert [h.finished for h in got] == [h.finished for h in want]
             for g, w in zip(got, want):
@@ -388,8 +399,9 @@ class TestAgainstRecomputeOracle:
 
     def test_greedy_matches_oracle_beam_one(self):
         models = _oracle_models("conformer_rpe", (43, 44))
-        greedy = greedy_decode(models, max_len=9)
-        (want,) = reference_beam_search(models, DecodeConfig(beam=1), 9)[:1]
+        cfg = DecodeConfig(beam=1, extra_len=3)
+        greedy = greedy_decode(models, length_cap(models, cfg))
+        (want,) = reference_beam_search(models, cfg)[:1]
         assert greedy.tokens == want.tokens
         assert abs(greedy.logprob - want.logprob) < 1e-12
 

@@ -1,14 +1,11 @@
-"""Tests for corpus BLEU, edit distance, and token accuracy."""
+"""Tests for corpus BLEU, and for the edit-distance and token-accuracy
+oracles the acceptance suite scores with."""
 
 import numpy as np
 import pytest
 
-from tinyst.evaluation import (
-    corpus_bleu,
-    edit_accuracy,
-    edit_distance,
-    token_accuracy,
-)
+from oracles import edit_accuracy, edit_distance, token_accuracy
+from tinyst.evaluation import corpus_bleu
 from tinyst.rng import RngStream
 
 

@@ -95,11 +95,6 @@ def test_training_reaches_every_op(monkeypatch):
     assert not ops - reached, f"ops no training step reaches: {sorted(ops - reached)}"
 
 
-# Public names no program code calls: the references the acceptance test
-# checks decoding and the toy task against.
-ORACLES = {"greedy_decode", "edit_accuracy", "token_accuracy"}
-
-
 def test_every_public_name_is_used_by_the_program():
     # The package's own modules and the benchmark are the program; the
     # re-exports in __init__.py and the tests are not.
@@ -116,5 +111,5 @@ def test_every_public_name_is_used_by_the_program():
         f"{path.name}:{node.name}" for path in MODULES
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in used | ORACLES)
+        and not node.name.startswith("_") and node.name not in used)
     assert not unused, f"public names only tests use: {unused}"

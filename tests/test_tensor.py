@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import relative_position_index
 from tinyst import tensor as T
 from tinyst.losses import ctc_loss_batch
 from tinyst.rng import RngStream
@@ -89,6 +90,50 @@ class TestForwardValues:
         assert y.shape == (3, 4)
         expect = x.data[:, :4] * (1.0 / (1.0 + np.exp(-x.data[:, 4:])))
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
+
+    def test_sigmoid_bitwise_equal_to_two_branch_formula(self):
+        rng = np.random.default_rng(6)
+        extremes = [0.0, -0.0, 1e-300, -1e-300, 710.0, -710.0, 745.0, -745.0,
+                    1e308, -1e308]
+        x = np.concatenate([extremes] + [rng.normal(0.0, sigma, size=200)
+                                         for sigma in (1.0, 10.0, 100.0, 800.0)])
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.maximum(x, 0))),
+                        np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))))
+        np.testing.assert_array_equal(Tensor(x).sigmoid().data, want)
+
+
+class TestBandHelpers:
+    """The relative-shift band helpers against their definition by
+    `relative_position_index`."""
+
+    # (leading axes, t_query, t_key, max_rel)
+    SHAPES = {"one_query_one_key": ((), 1, 1, 2),
+              "nothing_clips": ((2,), 4, 4, 5),
+              "width_2r_plus_1": ((2,), 7, 7, 3),
+              "max_rel_zero": ((3,), 5, 5, 0),
+              "three_queries_of_nine_keys": ((2,), 3, 9, 2),
+              "long_encoder": ((1, 4), 188, 188, 100),
+              "two_leading_axes": ((2, 3), 6, 6, 2)}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_gather_equals_take_along_axis_bitwise(self, shape):
+        lead, t_query, t_key, max_rel = self.SHAPES[shape]
+        x = np.random.default_rng(7).normal(size=(*lead, t_query, 2 * max_rel + 1))
+        idx = np.broadcast_to(relative_position_index(t_query, t_key, max_rel),
+                              (*lead, t_query, t_key))
+        np.testing.assert_array_equal(T._gather_band(x, t_key),
+                                      np.take_along_axis(x, idx, axis=-1))
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_sum_equals_per_offset_masked_sum(self, shape):
+        lead, t_query, t_key, max_rel = self.SHAPES[shape]
+        band = np.random.default_rng(8).normal(size=(*lead, t_query, t_key))
+        idx = relative_position_index(t_query, t_key, max_rel)
+        want = np.stack([np.where(idx == r, band, 0.0).sum(axis=-1)
+                         for r in range(2 * max_rel + 1)], axis=-1)
+        got = T._sum_band(band, max_rel)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 class TestConvShapes:
