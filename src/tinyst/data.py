@@ -5,8 +5,9 @@ A manifest is a UTF-8 TSV with the header
 relative to the manifest's directory.
 
 Batches are exact-shape: samples are grouped by identical
-(frames, source length, target length) triples, so a batch is dense arrays
-with no padding and no masks.  Per-utterance padding never enters the loss.
+(frames, target length) pairs, so features, decoder prefixes and targets are
+dense arrays with no padding and no masks.  Transcripts may differ in length
+within a batch: the CTC loss takes ragged targets.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def load_dataset(manifest_path, subwords: SubwordModel,
 class Batch:
     utt_ids: list
     features: np.ndarray    # (B, T, 80)
-    src_targets: list       # B CTC label sequences, equal length
+    src_targets: list       # B CTC label sequences, of any lengths
     prefix: np.ndarray      # (B, L+1) = bos + translation ids
     targets: np.ndarray     # (B, L+1) = translation ids + eos
 
@@ -131,8 +132,8 @@ def drop_ctc_infeasible(samples: list) -> tuple:
 
 def make_batches(samples: list, frame_budget: int,
                  rng: RngStream | None = None) -> list:
-    """Group samples of identical shape, split groups by the frame budget,
-    and (optionally) shuffle batch order.
+    """Group samples of identical (frames, target length), split groups by
+    the frame budget, and (optionally) shuffle batch order.
 
     Within a shape group, at least one sample per batch is always taken even
     if a single utterance exceeds the budget.
@@ -141,7 +142,7 @@ def make_batches(samples: list, frame_budget: int,
         raise ValueError(f"frame_budget must be >= 1, got {frame_budget}")
     groups = {}
     for s in samples:
-        key = (s.features.shape[0], len(s.src_ids), len(s.tgt_ids))
+        key = (s.features.shape[0], len(s.tgt_ids))
         groups.setdefault(key, []).append(s)
     batches = []
     for key in sorted(groups):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import LOG_ZERO, Tensor, _tracking
+from .tensor import LOG_ZERO, Tensor
 from .text import BLANK_ID, PAD_ID
 
 
@@ -112,10 +112,8 @@ def ctc_loss_batch(log_probs: Tensor, targets, blank: int = BLANK_ID) -> Tensor:
     ends = alpha[-1] + final
     top = ends.max(axis=1)
     log_p = top + np.log(np.exp(ends - top[:, None]).sum(axis=1))
-    if not _tracking(log_probs):
-        return Tensor(-log_p)
 
-    def backward(g):
+    def vjp(g):
         # Cell j's successors are j, j+1 and j+2; a skip is allowed exactly
         # when the predecessor mask allows it read from the other end.
         succ = cell + np.arange(3)[:, None]
@@ -142,9 +140,9 @@ def ctc_loss_batch(log_probs: Tensor, targets, blank: int = BLANK_ID) -> Tensor:
                 * vocab + ext)
         per_label = np.bincount(flat.ravel(), weights=occupancy.ravel(),
                                 minlength=b * t_max * vocab)
-        log_probs._accum(per_label.reshape(b, t_max, vocab) * -g[:, None, None])
+        return per_label.reshape(b, t_max, vocab) * -g[:, None, None]
 
-    return Tensor._from_op(-log_p, (log_probs,), backward)
+    return Tensor._from_op(-log_p, ((log_probs, vjp),))
 
 
 def label_smoothed_ce(logits: Tensor, targets, epsilon_ls: float = 0.1) -> Tensor:

@@ -9,6 +9,14 @@ whole system end to end.  Values are immutable after creation except for the
 gradient accumulator; the graph is dynamic, built afresh on every forward
 pass.
 
+An op computes its result in numpy and returns
+``Tensor._from_op(result, ((input, vjp), ...))``: one vector-Jacobian
+product per input, in input order, where ``vjp(g)`` maps the gradient of
+the result to that input's share of it.  The op never asks whether
+gradients are wanted.  ``_from_op`` keeps the pairs whose input requires a
+gradient (none under :class:`no_grad`), and :meth:`Tensor.backward` is the
+only place that runs them and accumulates their results.
+
 All arithmetic is 64-bit.  ``LOG_ZERO`` is used as the additive identity for
 log-space masking instead of a true -inf: it behaves like "impossible" under
 logsumexp while keeping every intermediate finite, which keeps backward
@@ -63,24 +71,26 @@ class Tensor:
     is inherited by every value computed from them while grad mode is on.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_vjps", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward = None
+        self._vjps: tuple = ()
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents: tuple, backward: Callable):
+    def _from_op(cls, data: np.ndarray, vjps: tuple):
+        """The result of an op, recorded as a graph node when grad mode is on
+        and some input requires a gradient.  `vjps` holds an
+        (input, vjp) pair per input; only the pairs whose input requires a
+        gradient are kept."""
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._vjps = tuple([pair for pair in vjps if pair[0].requires_grad]) \
+            if _grad_enabled else ()
+        out.requires_grad = bool(out._vjps)
         return out
 
     # -- basic introspection ------------------------------------------------
@@ -108,7 +118,7 @@ class Tensor:
 
         The root must be a scalar.  Repeated calls without zeroing gradients
         accumulate.  Traversal is iterative topological order, so each node's
-        local backward runs exactly once per call even on diamond graphs.
+        vjps run exactly once per call even on diamond graphs.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.shape}")
@@ -124,45 +134,29 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+            for p, _ in node._vjps:
+                if id(p) not in visited:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            for p, vjp in node._vjps:
+                p._accum(vjp(node.grad))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = self.data + other.data
-        if not _tracking(self, other):
-            return Tensor(out)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.data.shape))
-
-        return Tensor._from_op(out, (self, other), backward)
+        return Tensor._from_op(self.data + other.data, (
+            (self, lambda g: _unbroadcast(g, self.data.shape)),
+            (other, lambda g: _unbroadcast(g, other.data.shape))))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = self.data * other.data
-        if not _tracking(self, other):
-            return Tensor(out)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor._from_op(out, (self, other), backward)
+        return Tensor._from_op(self.data * other.data, (
+            (self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
+            (other, lambda g: _unbroadcast(g * self.data, other.data.shape))))
 
     __rmul__ = __mul__
 
@@ -178,16 +172,9 @@ class Tensor:
             out = a @ b
         except ValueError as exc:
             raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}") from exc
-        if not _tracking(self, other):
-            return Tensor(out)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
-
-        return Tensor._from_op(out, (self, other), backward)
+        return Tensor._from_op(out, (
+            (self, lambda g: _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)),
+            (other, lambda g: _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))))
 
     # -- elementwise nonlinearities ------------------------------------------
 
@@ -195,23 +182,11 @@ class Tensor:
         x = self.data
         e = np.exp(-np.abs(x))
         out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            self._accum(g * out * (1.0 - out))
-
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(out, ((self, lambda g: g * out * (1.0 - out)),))
 
     def relu(self):
-        out = np.maximum(self.data, 0.0)
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            self._accum(g * (self.data > 0))
-
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(np.maximum(self.data, 0.0),
+                               ((self, lambda g: g * (self.data > 0)),))
 
     def swish(self):
         """x * sigmoid(x)."""
@@ -220,16 +195,11 @@ class Tensor:
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None):
-        out = self.data.sum(axis=axis)
-        if not _tracking(self):
-            return Tensor(out)
-        shape = self.data.shape
-
-        def backward(g):
+        def vjp(g):
             gg = g if axis is None else np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(gg, shape).copy())
+            return np.broadcast_to(gg, self.data.shape).copy()
 
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(np.asarray(self.data.sum(axis=axis)), ((self, vjp),))
 
     def mean(self, axis: int | None = None):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -241,14 +211,8 @@ class Tensor:
         x = self.data
         e = np.exp(x - x.max(axis=axis, keepdims=True))
         out = e / e.sum(axis=axis, keepdims=True)
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            inner = (g * out).sum(axis=axis, keepdims=True)
-            self._accum((g - inner) * out)
-
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(out, (
+            (self, lambda g: (g - (g * out).sum(axis=axis, keepdims=True)) * out),))
 
     def log_softmax(self, axis: int = -1):
         x = self.data
@@ -256,56 +220,28 @@ class Tensor:
         shifted = x - m
         lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out = shifted - lse
-        if not _tracking(self):
-            return Tensor(out)
-
-        def backward(g):
-            self._accum(g - np.exp(out) * g.sum(axis=axis, keepdims=True))
-
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(out, (
+            (self, lambda g: g - np.exp(out) * g.sum(axis=axis, keepdims=True)),))
 
     # -- shape manipulation ----------------------------------------------------
 
     def reshape(self, *shape):
-        out = self.data.reshape(shape)
-        if not _tracking(self):
-            return Tensor(out)
-        orig = self.data.shape
-
-        def backward(g):
-            self._accum(g.reshape(orig))
-
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(self.data.reshape(shape),
+                               ((self, lambda g: g.reshape(self.data.shape)),))
 
     def transpose(self, *axes):
         if not axes:
             axes = tuple(range(self.data.ndim - 1, -1, -1))
-        out = self.data.transpose(axes)
-        if not _tracking(self):
-            return Tensor(out)
-        inverse = tuple(np.argsort(axes))
-
-        def backward(g):
-            self._accum(g.transpose(inverse))
-
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(self.data.transpose(axes), (
+            (self, lambda g: g.transpose(tuple(np.argsort(axes)))),))
 
     def __getitem__(self, idx):
-        out = self.data[idx]
-        if not _tracking(self):
-            return Tensor(out)
-        shape = self.data.shape
-
-        def backward(g):
-            full = np.zeros(shape, dtype=np.float64)
+        def vjp(g):
+            full = np.zeros(self.data.shape, dtype=np.float64)
             _scatter_add(full, idx, g)
-            self._accum(full)
+            return full
 
-        return Tensor._from_op(out, (self,), backward)
-
-
-def _tracking(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+        return Tensor._from_op(self.data[idx], ((self, vjp),))
 
 
 def _scatter_add(target: np.ndarray, idx, g: np.ndarray):
@@ -323,17 +259,8 @@ def as_tensor(value) -> Tensor:
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
-    if not _tracking(*tensors):
-        return Tensor(out)
-
-    def backward(g):
-        slices = np.moveaxis(g, axis, 0)
-        for t, gi in zip(tensors, slices):
-            if t.requires_grad:
-                t._accum(gi)
-
-    return Tensor._from_op(out, tuple(tensors), backward)
+    return Tensor._from_op(np.stack([t.data for t in tensors], axis=axis), tuple(
+        (t, lambda g, i=i: np.moveaxis(g, axis, 0)[i]) for i, t in enumerate(tensors)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -354,22 +281,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / dim
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
-    out = gain.data * xhat + bias.data
-    if not _tracking(x, gain, bias):
-        return Tensor(out)
 
-    def backward(g):
-        if gain.requires_grad:
-            gain._accum((g * xhat).reshape(-1, dim).sum(axis=0))
-        if bias.requires_grad:
-            bias._accum(g.reshape(-1, dim).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            term = gx - np.add.reduce(gx, axis=-1, keepdims=True) / dim \
-                - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / dim)
-            x._accum(term * inv)
+    def grad_x(g):
+        gx = g * gain.data
+        term = gx - np.add.reduce(gx, axis=-1, keepdims=True) / dim \
+            - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / dim)
+        return term * inv
 
-    return Tensor._from_op(out, (x, gain, bias), backward)
+    return Tensor._from_op(gain.data * xhat + bias.data, (
+        (x, grad_x),
+        (gain, lambda g: (g * xhat).reshape(-1, dim).sum(axis=0)),
+        (bias, lambda g: g.reshape(-1, dim).sum(axis=0))))
 
 
 def _conv_windows(op: str, x: Tensor, k: int, c_w: int, stride: int,
@@ -404,27 +326,22 @@ def conv1d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
     xp, windows, t, t_out = _conv_windows("conv1d", x, k, c_in, stride, padding)
     # windows: (B, T_out, C_in, K) -> out[b,t,o] = sum_{c,k} win * w[k,c,o]
     out = np.tensordot(windows, weight.data, axes=([3, 2], [0, 1]))
+
+    def grad_x(g):
+        dxp = np.zeros_like(xp)
+        for kk in range(k):
+            # (B, T_out, C_in)
+            dxp[:, kk:kk + t_out * stride:stride] += g @ weight.data[kk].T
+        return dxp[:, padding:padding + t] if padding else dxp
+
+    # dW[k,c,o] = sum_{b,t} windows[b,t,c,k] * g[b,t,o], transposed from the
+    # (C_in, K, C_out) that tensordot gives.
+    vjps = ((x, grad_x), (weight, lambda g: np.tensordot(
+        windows, g, axes=([0, 1], [0, 1])).transpose(1, 0, 2)))
     if bias is not None:
         out = out + bias.data
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    if not _tracking(*parents):
-        return Tensor(out)
-
-    def backward(g):
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 1)))
-        if weight.requires_grad:
-            # dW[k,c,o] = sum_{b,t} windows[b,t,c,k] * g[b,t,o]
-            dw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))  # (C_in, K, C_out)
-            weight._accum(dw.transpose(1, 0, 2))
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for kk in range(k):
-                contrib = g @ weight.data[kk].T  # (B, T_out, C_in)
-                dxp[:, kk:kk + t_out * stride:stride] += contrib
-            x._accum(dxp[:, padding:padding + t] if padding else dxp)
-
-    return Tensor._from_op(out, tuple(parents), backward)
+        vjps += ((bias, lambda g: g.sum(axis=(0, 1))),)
+    return Tensor._from_op(out, vjps)
 
 
 def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> Tensor:
@@ -437,24 +354,18 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, bias=None, padding: int = 0) -> 
     xp, windows, t, t_out = _conv_windows("depthwise_conv1d", x, k, c_w, 1, padding)
     # windows: (B, T_out, C, K); out[b,t,c] = sum_k win[b,t,c,k] * w[k,c]
     out = np.einsum("btck,kc->btc", windows, weight.data)
+
+    def grad_x(g):
+        dxp = np.zeros_like(xp)
+        for kk in range(k):
+            dxp[:, kk:kk + t_out] += g * weight.data[kk]
+        return dxp[:, padding:padding + t] if padding else dxp
+
+    vjps = ((x, grad_x), (weight, lambda g: np.einsum("btck,btc->kc", windows, g)))
     if bias is not None:
         out = out + bias.data
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    if not _tracking(*parents):
-        return Tensor(out)
-
-    def backward(g):
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 1)))
-        if weight.requires_grad:
-            weight._accum(np.einsum("btck,btc->kc", windows, g))
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for kk in range(k):
-                dxp[:, kk:kk + t_out] += g * weight.data[kk]
-            x._accum(dxp[:, padding:padding + t] if padding else dxp)
-
-    return Tensor._from_op(out, tuple(parents), backward)
+        vjps += ((bias, lambda g: g.sum(axis=(0, 1))),)
+    return Tensor._from_op(out, vjps)
 
 
 def _shifted(buf: np.ndarray, t_key: int) -> np.ndarray:
@@ -511,16 +422,13 @@ def band_gather(x: Tensor, t_key: int) -> Tensor:
     if x.data.ndim < 2 or x.data.shape[-1] % 2 == 0:
         raise ValueError(f"band_gather needs a (..., t_query, 2R+1) input, "
                          f"got shape {x.data.shape}")
-    out = _gather_band(x.data, t_key)
-    if not _tracking(x):
-        return Tensor(out)
-
-    def backward(g):
-        x._accum(_sum_band(g, x.data.shape[-1] // 2))
-
-    # A graph node keeps its data until backward: copy the band out so that
-    # the node does not hold the whole buffer, twice the band's size.
-    return Tensor._from_op(out.copy(), (x,), backward)
+    out = Tensor._from_op(_gather_band(x.data, t_key), (
+        (x, lambda g: _sum_band(g, x.data.shape[-1] // 2)),))
+    if out.requires_grad:
+        # A graph node keeps its data until backward: copy the band out so
+        # that the node does not hold the whole buffer, twice the band's size.
+        out.data = out.data.copy()
+    return out
 
 
 def band_sum(x: Tensor, max_rel: int) -> Tensor:
@@ -531,14 +439,8 @@ def band_sum(x: Tensor, max_rel: int) -> Tensor:
     if x.data.ndim < 2 or max_rel < 0:
         raise ValueError(f"band_sum needs a (..., t_query, t_key) input and "
                          f"max_rel >= 0, got shape {x.data.shape}, max_rel {max_rel}")
-    out = _sum_band(x.data, max_rel)
-    if not _tracking(x):
-        return Tensor(out)
-
-    def backward(g):
-        x._accum(_gather_band(g, x.data.shape[-1]))
-
-    return Tensor._from_op(out, (x,), backward)
+    return Tensor._from_op(_sum_band(x.data, max_rel), (
+        (x, lambda g: _gather_band(g, x.data.shape[-1])),))
 
 
 def dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:

@@ -168,11 +168,16 @@ def save_subwords(model: SubwordModel, directory):
 
 
 def load_subwords(directory) -> SubwordModel:
-    """Read the subword model that save_subwords wrote into `directory`."""
+    """Read the subword model that save_subwords wrote into `directory`.
+
+    Each merge's two pieces and the piece they join into must be entries of
+    the vocabulary, so that files from two different runs do not load as one
+    model."""
     with open(os.path.join(directory, "vocab.txt"), encoding="utf-8") as fh:
         tokens = [line.rstrip("\n") for line in fh]
     while tokens and tokens[-1] == "":
         tokens.pop()
+    vocab = Vocabulary(tokens)
     merges_path = os.path.join(directory, "merges.txt")
     merges = []
     with open(merges_path, encoding="utf-8") as fh:
@@ -183,5 +188,9 @@ def load_subwords(directory) -> SubwordModel:
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ValueError(f"{merges_path}:{n}: malformed merge line {line!r}")
+            for piece in (parts[0], parts[1], parts[0] + parts[1]):
+                if piece not in vocab.id_of:
+                    raise ValueError(f"{merges_path}:{n}: merge {line!r} needs "
+                                     f"{piece!r}, which vocab.txt lacks")
             merges.append((parts[0], parts[1]))
-    return SubwordModel(merges, Vocabulary(tokens))
+    return SubwordModel(merges, vocab)

@@ -123,9 +123,10 @@ class TestMakeBatches:
         for b in batches:
             assert b.features.shape[0] == len(b)
             assert len(b.src_targets) == len(b)
-        # a and b share (T, src_len, tgt_len) and fit one batch; c and d differ.
+        # a, b and c share (T, tgt_len) and fit one batch, whatever their
+        # transcript lengths; d differs in frames.
         sizes = sorted(len(b) for b in batches)
-        assert sizes == [1, 1, 2]
+        assert sizes == [1, 3]
 
     def test_budget_splits_groups(self):
         samples = [_sample(f"u{i}", 10, [6], [7]) for i in range(7)]

@@ -167,10 +167,8 @@ def loop_logsumexp(x: Tensor, axis: int) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     out_kd = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
 
-    def backward(g):
-        x._accum(np.expand_dims(g, axis) * np.exp(x.data - out_kd))
-
-    return Tensor._from_op(np.squeeze(out_kd, axis=axis), (x,), backward)
+    return Tensor._from_op(np.squeeze(out_kd, axis=axis), (
+        (x, lambda g: np.expand_dims(g, axis) * np.exp(x.data - out_kd)),))
 
 
 def loop_ctc(log_probs: Tensor, targets, blank: int = BLANK_ID) -> Tensor:

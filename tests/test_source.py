@@ -49,17 +49,36 @@ def _graph_ops() -> set:
     return ops
 
 
+def test_only_the_graph_engine_accumulates_gradients():
+    # Ops return one vector-Jacobian product per input; Tensor.backward alone
+    # runs them and adds their results into `.grad`.
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "_accum":
+                callers.add(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    assert callers == {"tensor.Tensor.backward"}, sorted(callers)
+
+
 def _record_ops(monkeypatch) -> set:
     """Patch `Tensor._from_op` to add the op behind each new graph node to
-    the returned set."""
+    the returned set: the function that defines the node's first
+    vector-Jacobian product."""
     from tinyst.tensor import Tensor
 
     reached = set()
     real = Tensor._from_op
 
-    def recording(cls, data, parents, backward):
-        reached.add(backward.__qualname__.removesuffix(".<locals>.backward"))
-        return real(data, parents, backward)
+    def recording(cls, data, vjps):
+        reached.add(vjps[0][1].__qualname__.split(".<locals>.")[0])
+        return real(data, vjps)
 
     monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
     return reached

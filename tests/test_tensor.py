@@ -245,7 +245,7 @@ class TestBackward:
         x = Tensor(2.0, requires_grad=True)
         with T.no_grad():
             y = x * x
-        assert y._backward is None and not y.requires_grad
+        assert y._vjps == () and not y.requires_grad
 
 
 def sum_sq(y):
@@ -277,7 +277,55 @@ OPS = {
     # A ragged batch whose first target repeats a label.
     "ctc": lambda x: ctc_loss_batch(T.stack([x, x.transpose()]).log_softmax(axis=-1),
                                     [[1, 1], [3]], blank=0).sum(),
+    "conv1d": lambda x: sum_sq(conv1d(x[None], x[:3, :, None] * 0.5, x[0, :1],
+                                      stride=2, padding=1)),
+    "depthwise_conv1d": lambda x: sum_sq(depthwise_conv1d(x[None], x[:3], x[3],
+                                                          padding=1)),
 }
+
+
+def recorded_nodes(monkeypatch) -> list:
+    """Patch `Tensor._from_op` to append, for each new node, the inputs its
+    op offered and the inputs the node kept."""
+    nodes = []
+    real = Tensor._from_op
+
+    def recording(cls, data, vjps):
+        out = real(data, vjps)
+        nodes.append(([p for p, _ in vjps], [p for p, _ in out._vjps]))
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
+    return nodes
+
+
+class TestGraphRecording:
+    """`Tensor._from_op` alone decides which inputs a node keeps."""
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_no_grad_gives_the_same_bits_and_records_nothing(self, name, monkeypatch):
+        x = Tensor(np.random.default_rng(17).normal(size=(4, 4)), requires_grad=True)
+        nodes = recorded_nodes(monkeypatch)
+        tracked = OPS[name](x)
+        # With gradients on, every node keeps exactly its tracked inputs, in
+        # order, and every node here has one.
+        assert nodes
+        for offered, kept in nodes:
+            assert kept and kept == [p for p in offered if p.requires_grad]
+        nodes.clear()
+        with T.no_grad():
+            untracked = OPS[name](x)
+        assert nodes and not any(kept for _, kept in nodes)
+        assert not untracked.requires_grad
+        assert np.asarray(untracked.data).tobytes() == np.asarray(tracked.data).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_constant_inputs_record_nothing(self, name, monkeypatch):
+        x = Tensor(np.random.default_rng(18).normal(size=(4, 4)))
+        nodes = recorded_nodes(monkeypatch)
+        out = OPS[name](x)
+        assert nodes and not any(kept for _, kept in nodes)
+        assert not out.requires_grad
 
 
 class TestGradCheckPerOp:

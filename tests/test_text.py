@@ -144,3 +144,13 @@ class TestEncodeDecode:
         assert loaded.merges == model.merges
         s = "the quick dog"
         assert encode(loaded, s) == encode(model, s)
+
+    def test_merges_of_another_run_rejected(self, model, tmp_path):
+        other = train_subwords(["the cat sat on the mat", "the cat"], vocab_size=60)
+        save_subwords(model, tmp_path)
+        (tmp_path / "merges.txt").write_text(
+            "".join(f"{a} {b}\n" for a, b in other.merges), encoding="utf-8")
+        line = 1 + next(i for i, (a, b) in enumerate(other.merges)
+                        if not {a, b, a + b} <= set(model.vocab.token_of))
+        with pytest.raises(ValueError, match=rf"merges\.txt:{line}: "):
+            load_subwords(tmp_path)

@@ -481,6 +481,26 @@ class TestTrainLoop:
             train(_tiny_model(), samples, TrainConfig(epochs=1, frame_budget=32),
                   max_steps=max_steps)
 
+    def test_transcripts_of_different_lengths_share_a_batch(self, monkeypatch):
+        # Batches group by frames and translation length only: CTC takes
+        # ragged targets.
+        seen = []
+        real_ctc = training.ctc_loss_batch
+
+        def recording_ctc(log_probs, targets, *args):
+            seen.append(sorted(len(t) for t in targets))
+            return real_ctc(log_probs, targets, *args)
+
+        monkeypatch.setattr(training, "ctc_loss_batch", recording_ctc)
+        feats = RngStream(4).normal(0.0, 1.0, size=(2, 16, 80))
+        samples = [Sample("a", feats[0], [6, 7], [8, 9]),
+                   Sample("b", feats[1], [6, 7, 8], [9, 8])]
+        lines = train(_tiny_model(), samples,
+                      TrainConfig(epochs=1, frame_budget=64), max_steps=1)
+        assert seen == [[2, 3]]
+        parts = dict(kv.split("=") for kv in lines[0].split())
+        assert math.isfinite(float(parts["ctc"]))
+
     def test_infeasible_samples_reported(self):
         samples, _ = _toy_samples(n=6)
         # Too few frames for its labels: 4 frames -> 1 output frame.
