@@ -6,8 +6,8 @@ regularizer in this package is composed from them, except the CTC loss,
 which is one node of its own (:mod:`tinyst.losses`); a single
 finite-difference checker (:func:`grad_check`) exercises both, and so the
 whole system end to end.  Values are immutable after creation except for the
-gradient accumulator; the graph is dynamic, built afresh on every forward
-pass.
+gradient accumulator and the one exception below; the graph is dynamic,
+built afresh on every forward pass.
 
 An op computes its result in numpy and returns
 ``Tensor._from_op(result, ((input, vjp), ...))``: one vector-Jacobian
@@ -15,7 +15,9 @@ product per input, in input order, where ``vjp(g)`` maps the gradient of
 the result to that input's share of it.  The op never asks whether
 gradients are wanted.  ``_from_op`` keeps the pairs whose input requires a
 gradient (none under :class:`no_grad`), and :meth:`Tensor.backward` is the
-only place that runs them and accumulates their results.
+only place that runs them and accumulates their results.  One exception:
+`band_gather` replaces its value with a compact copy when its node is
+recorded, since always copying cost about 10% of long-utterance decoding.
 
 All arithmetic is 64-bit.  ``LOG_ZERO`` is used as the additive identity for
 log-space masking instead of a true -inf: it behaves like "impossible" under
@@ -81,12 +83,12 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data: np.ndarray, vjps: tuple):
-        """The result of an op, recorded as a graph node when grad mode is on
-        and some input requires a gradient.  `vjps` holds an
-        (input, vjp) pair per input; only the pairs whose input requires a
-        gradient are kept."""
+        """The result of an op, as an ndarray (0-d results too), recorded as a
+        graph node when grad mode is on and some input requires a gradient.
+        `vjps` holds an (input, vjp) pair per input; only the pairs whose
+        input requires a gradient are kept."""
         out = cls.__new__(cls)
-        out.data = data
+        out.data = np.asarray(data)
         out.grad = None
         out._vjps = tuple([pair for pair in vjps if pair[0].requires_grad]) \
             if _grad_enabled else ()
@@ -195,11 +197,8 @@ class Tensor:
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None):
-        def vjp(g):
-            gg = g if axis is None else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, self.data.shape).copy()
-
-        return Tensor._from_op(np.asarray(self.data.sum(axis=axis)), ((self, vjp),))
+        return Tensor._from_op(self.data.sum(axis=axis), ((self, lambda g: np.broadcast_to(
+            g if axis is None else np.expand_dims(g, axis), self.data.shape).copy()),))
 
     def mean(self, axis: int | None = None):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -236,21 +235,19 @@ class Tensor:
             (self, lambda g: g.transpose(tuple(np.argsort(axes)))),))
 
     def __getitem__(self, idx):
-        def vjp(g):
-            full = np.zeros(self.data.shape, dtype=np.float64)
-            _scatter_add(full, idx, g)
-            return full
-
-        return Tensor._from_op(self.data[idx], ((self, vjp),))
+        return Tensor._from_op(self.data[idx], (
+            (self, lambda g: _scattered(self.data.shape, idx, g)),))
 
 
-def _scatter_add(target: np.ndarray, idx, g: np.ndarray):
-    """target[idx] += g, correct for repeated indices."""
+def _scattered(shape: tuple, idx, g: np.ndarray) -> np.ndarray:
+    """Zeros of `shape` with g added at idx, correct for repeated indices."""
+    full = np.zeros(shape)
     parts = idx if isinstance(idx, tuple) else (idx,)
     if any(isinstance(p, (np.ndarray, list)) for p in parts):
-        np.add.at(target, idx, g)
+        np.add.at(full, idx, g)
     else:
-        target[idx] += g
+        full[idx] += g
+    return full
 
 
 def as_tensor(value) -> Tensor:
@@ -425,8 +422,9 @@ def band_gather(x: Tensor, t_key: int) -> Tensor:
     out = Tensor._from_op(_gather_band(x.data, t_key), (
         (x, lambda g: _sum_band(g, x.data.shape[-1] // 2)),))
     if out.requires_grad:
-        # A graph node keeps its data until backward: copy the band out so
-        # that the node does not hold the whole buffer, twice the band's size.
+        # The one op that replaces a value after `_from_op`: a graph node keeps
+        # its data until backward, so copy the band out and the node does not
+        # hold the whole buffer, twice the band's size.
         out.data = out.data.copy()
     return out
 

@@ -68,17 +68,20 @@ def test_only_the_graph_engine_accumulates_gradients():
 
 
 def _record_ops(monkeypatch) -> set:
-    """Patch `Tensor._from_op` to add the op behind each new graph node to
-    the returned set: the function that defines the node's first
-    vector-Jacobian product."""
+    """Patch `Tensor._from_op` to add the op behind each recorded graph node
+    to the returned set: the function that defines the node's first kept
+    vector-Jacobian product.  A call that records nothing (under `no_grad`,
+    or on constant inputs) does not count, since it runs no vjp."""
     from tinyst.tensor import Tensor
 
     reached = set()
     real = Tensor._from_op
 
     def recording(cls, data, vjps):
-        reached.add(vjps[0][1].__qualname__.split(".<locals>.")[0])
-        return real(data, vjps)
+        out = real(data, vjps)
+        if out._vjps:
+            reached.add(out._vjps[0][1].__qualname__.split(".<locals>.")[0])
+        return out
 
     monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
     return reached

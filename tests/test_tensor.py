@@ -317,7 +317,9 @@ class TestGraphRecording:
             untracked = OPS[name](x)
         assert nodes and not any(kept for _, kept in nodes)
         assert not untracked.requires_grad
-        assert np.asarray(untracked.data).tobytes() == np.asarray(tracked.data).tobytes()
+        # `.data` is an ndarray in both modes, 0-d results included.
+        assert type(tracked.data) is np.ndarray and type(untracked.data) is np.ndarray
+        assert untracked.data.tobytes() == tracked.data.tobytes()
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_constant_inputs_record_nothing(self, name, monkeypatch):
