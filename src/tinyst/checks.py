@@ -18,12 +18,11 @@ from .losses import (
     label_smoothed_ce,
     multitask_loss,
 )
-from .model import ModelConfig, SpeechTranslator
+from .model import ModelConfig, SpeechTranslator, causal_mask
 from .rng import RngStream
 from .tensor import (
     Tensor,
-    band_gather,
-    band_sum,
+    attention,
     conv1d,
     depthwise_conv1d,
     dropout,
@@ -105,12 +104,21 @@ def op_gradcheck_sweep(seed: int = 0) -> dict:
     # A fresh stream with a fixed seed redraws the same mask every call,
     # which keeps the loss deterministic for the numeric probes.
     check("dropout", lambda: dropout(cx, 0.4, RngStream(77)).sum(), [cx])
-    # Three queries aligned to the last of six keys, offsets clipped at 1.
-    per_offset = _param(rng, 2, 3, 3)
-    band = _param(rng, 2, 3, 6)
-    check("band_gather", lambda: _sum_sq(band_gather(per_offset, 6)),
-          [per_offset])
-    check("band_sum", lambda: _sum_sq(band_sum(band, 1)), [band])
+    # Attention over two heads of width 3: three queries aligned to the last
+    # of five keys, with relative offsets clipped at 1, a causal mask and a
+    # fixed-seed dropout mask; and a batch of two query sets over a key
+    # batch of one, which broadcasts, with no relative positions or mask.
+    att_q = _param(rng, 2, 3, 3)
+    att_k = _param(rng, 2, 5, 3)
+    att_v = _param(rng, 2, 5, 3)
+    rel_k = _param(rng, 3, 3)
+    rel_v = _param(rng, 3, 3)
+    check("attention_relative_causal_dropout", lambda: _sum_sq(attention(
+        att_q, att_k, att_v, rel_k, rel_v, mask=causal_mask(3, 5), p=0.3,
+        rng=RngStream(78))), [att_q, att_k, att_v, rel_k, rel_v])
+    rows_q = _param(rng, 2, 2, 4, 3)
+    check("attention_plain_full", lambda: _sum_sq(attention(
+        rows_q, att_k[None], att_v[None])), [rows_q, att_k, att_v])
     # A ragged batch: one target repeats a label, the other is shorter.
     ctc_x = _param(rng, 2, 4, 6)
     check("ctc", lambda: ctc_loss_batch(ctc_x.log_softmax(axis=-1),

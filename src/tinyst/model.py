@@ -24,22 +24,21 @@ that lives for the utterance, and reorders it as hypotheses branch.
 
 Dropout is on exactly when a random stream is given.  `SpeechTranslator`
 binds its one rate (`ModelConfig.dropout`) and the caller's stream into a
-single function, `drop`, and passes it down; every block applies `drop`
-wherever it drops units.  A block called without `drop` runs in eval mode.
+single `Dropout`, `drop`, and passes it down; every block applies `drop`
+wherever it drops units, and attention hands its rate and stream to the
+fused attention op.  A block called without `drop` runs in eval mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (LOG_ZERO, Tensor, band_gather, band_sum,
-                     depthwise_conv1d, dropout, glu, layer_norm, stack)
+from .tensor import (LOG_ZERO, Tensor, attention, depthwise_conv1d, dropout,
+                     glu, layer_norm, stack)
 from .tensor import conv1d as conv1d_op
 from .text import BOS_ID
 
@@ -192,12 +191,20 @@ def causal_mask(t_query: int, t_key: int) -> np.ndarray:
     return np.triu(np.full((t_query, t_key), LOG_ZERO), k=1 + t_key - t_query)
 
 
-Dropout = Callable[[Tensor], Tensor]
+@dataclass(frozen=True)
+class Dropout:
+    """The dropout of one pass: rate `p`, drawing its masks from `rng`.
+    Called on a tensor, it applies `dropout`; with no stream (or p == 0) it
+    is eval mode, the identity."""
+
+    p: float = 0.0
+    rng: RngStream | None = None
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return dropout(x, self.p, self.rng)
 
 
-def no_dropout(x: Tensor) -> Tensor:
-    """The `drop` of eval mode: the identity."""
-    return x
+no_dropout = Dropout()
 
 
 class SelfAttentionCache:
@@ -265,11 +272,17 @@ class MultiHeadAttention(Module):
     Both terms go through the 2R+1 clipped offsets, never a (Tq, Tk,
     d_head) table (Shaw et al. 2018, in the memory-lean form of Huang et
     al. 2018).  The scores q . a_K are computed once per offset, as
-    (B, H, Tq, 2R+1), and `band_gather` spreads them over the keys.  For the
-    values, `band_sum` adds up each row's attention weights per offset,
-    and the sums multiply a_V.  Both ops move between offsets and keys by
-    the relative shift of Transformer-XL (Dai et al. 2019), a reshape of a
-    (Tq, Tq+Tk) buffer, so no index arrays are built or kept.
+    (B, H, Tq, 2R+1), and spread over the keys; for the values, each row's
+    attention weights are added up per offset and the sums multiply a_V.
+    Both moves use the relative shift of Transformer-XL (Dai et al. 2019),
+    a reshape of a (Tq, Tq+Tk) buffer, so no index arrays are built or kept.
+
+    The projections are ordinary ops; everything from the scores to the
+    per-head context (q.k, the relative band, the scale, the causal mask,
+    the softmax, dropout, the weighted values) is one node of the fused
+    `attention` op.  Its backward is derived by hand, with the softmax
+    adjoint that FlashAttention uses (Dao et al. 2022), and besides its
+    inputs it keeps only the attention weights and the boolean dropout mask.
 
     Given a cache, the keys and values come from it (see
     `SelfAttentionCache` and `MemoryCache`), and the queries are the last
@@ -307,17 +320,10 @@ class MultiHeadAttention(Module):
         q = self._split(self.wq(query))
         k, v = (self._project_kv(kv) if cache is None
                 else cache.keys_values(self._project_kv, kv))
-        tk = k.shape[2]
-        scores = q @ k.transpose(0, 1, 3, 2)
-        if self.max_rel is not None:
-            scores = scores + band_gather(q @ self.rel_k.transpose(), tk)
-        scores = scores * (self.d_head ** -0.5)
-        if causal:
-            scores = scores + Tensor(causal_mask(tq, tk))
-        attn = drop(scores.softmax(axis=-1))
-        ctx = attn @ v
-        if self.max_rel is not None:
-            ctx = ctx + band_sum(attn, self.max_rel) @ self.rel_v
+        rel = () if self.max_rel is None else (self.rel_k, self.rel_v)
+        ctx = attention(q, k, v, *rel,
+                        mask=causal_mask(tq, k.shape[2]) if causal else None,
+                        p=drop.p, rng=drop.rng)
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden)
         return self.wo(merged)
 
@@ -567,7 +573,7 @@ class SpeechTranslator(Module):
         from `rng`; without it the encoder runs in eval mode."""
         if features.ndim != 3 or features.shape[-1] != 80:
             raise ValueError(f"features must be (B, T, 80), got {features.shape}")
-        drop = partial(dropout, p=self.cfg.dropout, rng=rng)
+        drop = Dropout(self.cfg.dropout, rng)
         x = drop(add_absolute_positions(self.downsampler(features)))
         if self.cfg.variant == "sate":
             acoustic = self.acoustic(x, drop)
@@ -605,7 +611,7 @@ class SpeechTranslator(Module):
         """Teacher-forced decoder pass: (B, Lp) prefix ids to (B, Lp, vocab)
         next-token logits, causal at every position, through a fresh cache.
         Dropout draws from `rng`; without it the decoder runs in eval mode."""
-        drop = partial(dropout, p=self.cfg.dropout, rng=rng)
+        drop = Dropout(self.cfg.dropout, rng)
         return self._decode(enc, prefix, self.new_cache(), drop)
 
     def decoder_step(self, enc: EncoderOutput, tokens: np.ndarray,

@@ -6,8 +6,8 @@ regularizer in this package is composed from them, except the CTC loss,
 which is one node of its own (:mod:`tinyst.losses`); a single
 finite-difference checker (:func:`grad_check`) exercises both, and so the
 whole system end to end.  Values are immutable after creation except for the
-gradient accumulator and the one exception below; the graph is dynamic,
-built afresh on every forward pass.
+gradient accumulator; the graph is dynamic, built afresh on every forward
+pass and released by the backward pass that runs through it.
 
 An op computes its result in numpy and returns
 ``Tensor._from_op(result, ((input, vjp), ...))``: one vector-Jacobian
@@ -15,9 +15,9 @@ product per input, in input order, where ``vjp(g)`` maps the gradient of
 the result to that input's share of it.  The op never asks whether
 gradients are wanted.  ``_from_op`` keeps the pairs whose input requires a
 gradient (none under :class:`no_grad`), and :meth:`Tensor.backward` is the
-only place that runs them and accumulates their results.  One exception:
-`band_gather` replaces its value with a compact copy when its node is
-recorded, since always copying cost about 10% of long-utterance decoding.
+only place that runs them and accumulates their results.  Backward runs
+each node's vjps once and then releases the node, so an op may share work
+between its vjps.
 
 All arithmetic is 64-bit.  ``LOG_ZERO`` is used as the additive identity for
 log-space masking instead of a true -inf: it behaves like "impossible" under
@@ -71,6 +71,8 @@ class Tensor:
 
     `requires_grad` marks leaves whose gradient is wanted (parameters) and
     is inherited by every value computed from them while grad mode is on.
+    `_vjps` holds a recorded node's (input, vjp) pairs: () for a leaf or an
+    untracked value, None once backward has released the node.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_vjps", "__weakref__")
@@ -116,11 +118,17 @@ class Tensor:
     # -- backward traversal -------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every tracked ancestor's `.grad`.
+        """Add d(self)/d(leaf) into the `.grad` of every tracked leaf (a
+        tensor that no op produced, such as a parameter), then release the
+        graph.
 
-        The root must be a scalar.  Repeated calls without zeroing gradients
-        accumulate.  Traversal is iterative topological order, so each node's
-        vjps run exactly once per call even on diamond graphs.
+        The root must be a scalar.  Traversal is iterative topological
+        order, so each node's vjps run exactly once even on diamond graphs.
+        Once a node's vjps have run, its `.grad` and vjps are dropped, and
+        with them the activations the vjps hold, so memory frees as the pass
+        goes.  A released graph cannot run backward again: a second call, or
+        a backward through a value computed from a released one, raises
+        before touching any gradient.  Leaf gradients add up over graphs.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.shape}")
@@ -134,15 +142,25 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._vjps is None:
+                raise RuntimeError(
+                    "backward already ran through this graph and released it; "
+                    "run the forward pass again to get a new graph")
             visited.add(id(node))
             stack.append((node, True))
             for p, _ in node._vjps:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            for p, vjp in node._vjps:
-                p._accum(vjp(node.grad))
+        # Popping drops the pass's own reference to each node as well, so a
+        # node's value frees as soon as nothing outside the graph holds it.
+        while topo:
+            node = topo.pop()
+            if node._vjps:
+                for p, vjp in node._vjps:
+                    p._accum(vjp(node.grad))
+                node.grad = None
+                node._vjps = None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -386,7 +404,13 @@ def _offset_columns(t_query: int, t_key: int, max_rel: int) -> tuple:
 
 
 def _gather_band(x: np.ndarray, t_key: int) -> np.ndarray:
-    """The band of `band_gather`, as a view of a fresh buffer."""
+    """Spread per-offset values over the relative-position band: x is
+    (..., t_query, 2R+1) and the result (..., t_query, t_key) holds
+    x[..., i, clip(j - i', -R, R) + R] at (i, j), where query row i sits at
+    key position i' = i + t_key - t_query (the queries are the last t_query
+    of the keys).  It writes x into a buffer by column slices and returns
+    the band as a view of that buffer through the relative shift
+    (`_shifted`).  Its adjoint is `_sum_band`."""
     *lead, t_query, n_rel = x.shape
     lo, m0, m1 = _offset_columns(t_query, t_key, n_rel // 2)
     buf = np.empty((*lead, t_query, t_query + t_key))
@@ -397,60 +421,145 @@ def _gather_band(x: np.ndarray, t_key: int) -> np.ndarray:
 
 
 def _sum_band(x: np.ndarray, max_rel: int) -> np.ndarray:
+    """Sum a (..., t_query, t_key) array per clipped relative offset into
+    (..., t_query, 2*max_rel+1): the adjoint of `_gather_band`.  It writes
+    the band into a zeroed buffer through the relative shift (`_shifted`)
+    and folds the buffer's columns back onto the offsets."""
     *lead, t_query, t_key = x.shape
+    width = t_query + t_key
     lo, m0, m1 = _offset_columns(t_query, t_key, max_rel)
-    buf = np.zeros((*lead, t_query, t_query + t_key))
+    buf = np.zeros((*lead, t_query, width))
     _shifted(buf, t_key)[...] = x
     out = np.zeros((*lead, t_query, 2 * max_rel + 1))
     out[..., m0 - lo:m1 - lo] = buf[..., m0:m1]
-    out[..., 0] += buf[..., :m0].sum(axis=-1)
-    out[..., -1] += buf[..., m1:].sum(axis=-1)
+    # Row i holds the band in buffer columns t_query-1-i .. width-2-i, so
+    # each clipped end sums only the rows and columns the band reaches.
+    first = max(t_query - m0, 0)
+    if m0 > 0:
+        out[..., first:, 0] += buf[..., first:, :m0].sum(axis=-1)
+    stop = width - 1 - m1
+    if stop > 0:
+        out[..., :stop, -1] += buf[..., :stop, m1:width - 1].sum(axis=-1)
     return out
 
 
-def band_gather(x: Tensor, t_key: int) -> Tensor:
-    """Spread per-offset values over the relative-position band: x is
-    (..., t_query, 2R+1) and the result (..., t_query, t_key) holds
-    x[..., i, clip(j - i', -R, R) + R] at (i, j), where query row i sits at
-    key position i' = i + t_key - t_query (the queries are the last t_query
-    of the keys).  It writes x into a buffer by column slices and reads the
-    band out through the relative shift (`_shifted`).  Its adjoint is
-    `band_sum`."""
-    if x.data.ndim < 2 or x.data.shape[-1] % 2 == 0:
-        raise ValueError(f"band_gather needs a (..., t_query, 2R+1) input, "
-                         f"got shape {x.data.shape}")
-    out = Tensor._from_op(_gather_band(x.data, t_key), (
-        (x, lambda g: _sum_band(g, x.data.shape[-1] // 2)),))
-    if out.requires_grad:
-        # The one op that replaces a value after `_from_op`: a graph node keeps
-        # its data until backward, so copy the band out and the node does not
-        # hold the whole buffer, twice the band's size.
-        out.data = out.data.copy()
-    return out
+def _keep_mask(shape: tuple, p: float, rng: RngStream | None):
+    """The units that inverted dropout at rate p keeps, as a boolean array
+    drawn from `rng` (one uniform per unit), or None when dropout is the
+    identity: with no stream or p == 0, nothing is drawn."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    if rng is None or p == 0.0:
+        return None
+    return rng.uniform(size=shape) >= p
 
 
-def band_sum(x: Tensor, max_rel: int) -> Tensor:
-    """Sum a (..., t_query, t_key) array per clipped relative offset into
-    (..., t_query, 2*max_rel+1): the adjoint of `band_gather`.  It writes the
-    band into a zeroed buffer through the relative shift (`_shifted`) and
-    folds the buffer's columns back onto the offsets."""
-    if x.data.ndim < 2 or max_rel < 0:
-        raise ValueError(f"band_sum needs a (..., t_query, t_key) input and "
-                         f"max_rel >= 0, got shape {x.data.shape}, max_rel {max_rel}")
-    return Tensor._from_op(_sum_band(x.data, max_rel), (
-        (x, lambda g: _gather_band(g, x.data.shape[-1])),))
+def _kept(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
+    """x with the dropped units zeroed and the kept ones scaled by 1/(1-p)."""
+    return x * (keep / (1.0 - p))
 
 
 def dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
     """Inverted dropout: zeroes each unit with probability p and scales the
     kept ones by 1/(1-p).  The stream is the train/eval switch: with no
-    stream (or p == 0) it is the identity and draws nothing."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if rng is None or p == 0.0:
+    stream (or p == 0) it is the identity and draws nothing.  The node keeps
+    only the boolean mask."""
+    keep = _keep_mask(x.data.shape, p, rng)
+    if keep is None:
         return x
-    mask = (rng.uniform(size=x.data.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    return Tensor._from_op(_kept(x.data, keep, p), ((x, lambda g: _kept(g, keep, p)),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, rel_k: Tensor | None = None,
+              rel_v: Tensor | None = None, mask: np.ndarray | None = None,
+              p: float = 0.0, rng: RngStream | None = None) -> Tensor:
+    """Scaled dot-product attention from queries, keys and values to the
+    context, as one graph node.
+
+    q is (..., t_query, d) and k, v are (..., t_key, d), broadcasting over
+    the leading axes; the queries are the last t_query of the keys.  With
+    relative positions, rel_k and rel_v are (2R+1, d) tables over the
+    clipped offsets -R..R, and
+
+        S = (q k^T + _gather_band(q rel_k^T)) / sqrt(d) + mask
+        P = softmax(S) over the keys, then dropout at rate p from `rng`
+        out = P v + _sum_band(P) rel_v
+
+    where `_gather_band` spreads the per-offset scores over the keys and
+    `_sum_band` adds each row's weights up per offset.  `mask` is additive
+    (LOG_ZERO hides a key), and dropout draws its mask as `dropout` does.
+    Besides its inputs, the node keeps only P and the boolean dropout mask.
+    Its backward forms dS = P * (dP - rowsum(dP * P)) / sqrt(d) once for
+    the q, k and rel_k vjps; the band helpers, each the other's adjoint,
+    carry the gradients to rel_k and rel_v."""
+    rel = rel_k is not None
+    max_rel = rel_k.data.shape[0] // 2 if rel else 0
+    t_key = k.data.shape[-2]
+    scale = q.data.shape[-1] ** -0.5
+    k_t = np.swapaxes(k.data, -1, -2)
+    scores = q.data @ k_t
+    if rel:
+        scores += _gather_band(q.data @ rel_k.data.T, t_key)
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = _keep_mask(probs.shape, p, rng)
+
+    def weights():
+        return probs if keep is None else _kept(probs, keep, p)
+
+    w = weights()
+    out = w @ v.data
+    if rel:
+        out = out + _sum_band(w, max_rel) @ rel_v.data
+    d_scores = None
+
+    def scores_grad(g):
+        # dS and, with relative positions, its sums per offset.  The q, k
+        # and rel_k vjps share them: backward runs a node's vjps once, all
+        # with the same g.
+        nonlocal d_scores
+        if d_scores is None:
+            dw = g @ np.swapaxes(v.data, -1, -2)
+            if rel:
+                dw = dw + _gather_band(g @ rel_v.data.T, t_key)
+            if keep is not None:
+                dw = _kept(dw, keep, p)
+            ds = dw - (dw * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            ds *= scale
+            d_scores = ds, (_sum_band(ds, max_rel) if rel else None)
+        return d_scores
+
+    def grad_q(g):
+        ds, ds_band = scores_grad(g)
+        dq = ds @ k.data
+        if rel:
+            dq = dq + ds_band @ rel_k.data
+        return _unbroadcast(dq, q.data.shape)
+
+    def grad_k(g):
+        dk_t = np.swapaxes(q.data, -1, -2) @ scores_grad(g)[0]
+        return np.swapaxes(_unbroadcast(dk_t, k_t.shape), -1, -2)
+
+    def grad_v(g):
+        return _unbroadcast(np.swapaxes(weights(), -1, -2) @ g, v.data.shape)
+
+    def grad_rel_k(g):
+        d_rel_t = np.swapaxes(q.data, -1, -2) @ scores_grad(g)[1]
+        return _unbroadcast(d_rel_t, rel_k.data.shape[::-1]).T
+
+    def grad_rel_v(g):
+        w_band = _sum_band(weights(), max_rel)
+        return _unbroadcast(np.swapaxes(w_band, -1, -2) @ g, rel_v.data.shape)
+
+    vjps = ((q, grad_q), (k, grad_k), (v, grad_v))
+    if rel:
+        vjps += ((rel_k, grad_rel_k), (rel_v, grad_rel_v))
+    return Tensor._from_op(out, vjps)
 
 
 def glu(x: Tensor) -> Tensor:

@@ -339,8 +339,9 @@ def _train_step(model: SpeechTranslator, opt: Adam, feats: np.ndarray, batch,
                 drop_rng: RngStream, lr: float, cfg: TrainConfig) -> tuple:
     """One optimizer step on one batch; returns (ce, ctc, total) as floats.
 
-    The step's autodiff graph is referenced only from this frame, so it is
-    freed on return instead of staying alive through the next forward.
+    Backward releases the step's autodiff graph as it runs, and what is
+    left of it is referenced only from this frame, so nothing of it stays
+    alive through the next forward.
     """
     logits, enc = model.forward(Tensor(feats), batch.prefix, rng=drop_rng)
     b, l_out = batch.targets.shape

@@ -1,7 +1,9 @@
 """Reference implementations the tests check the program against.
 
 `relative_position_index` defines the clipped relative-position band that
-the band ops and relative attention are checked on; `greedy_decode` is the
+the band helpers and relative attention are checked on; `band_gather` and
+`band_sum` make the two band helpers graph ops of their own, as the
+attention core used them before it became one op; `greedy_decode` is the
 decoder beam search must equal at beam 1; `edit_distance`,
 `edit_accuracy` and `token_accuracy` score the toy task and the CTC branch
 in the acceptance suite.  The program itself scores with BLEU only.
@@ -10,7 +12,7 @@ in the acceptance suite.  The program itself scores with BLEU only.
 import numpy as np
 
 from tinyst.decoding import Hypothesis, _step
-from tinyst.tensor import no_grad
+from tinyst.tensor import Tensor, _gather_band, _sum_band, no_grad
 from tinyst.text import BOS_ID, EOS_ID
 
 
@@ -21,6 +23,18 @@ def relative_position_index(t_query: int, t_key: int, max_rel: int) -> np.ndarra
     offsets = (np.arange(t_key)[None, :]
                - np.arange(t_key - t_query, t_key)[:, None])
     return np.clip(offsets, -max_rel, max_rel) + max_rel
+
+
+def band_gather(x: Tensor, t_key: int) -> Tensor:
+    """`_gather_band` as a graph op, with `_sum_band` as its vjp."""
+    return Tensor._from_op(_gather_band(x.data, t_key).copy(), (
+        (x, lambda g: _sum_band(g, x.data.shape[-1] // 2)),))
+
+
+def band_sum(x: Tensor, max_rel: int) -> Tensor:
+    """`_sum_band` as a graph op, with `_gather_band` as its vjp."""
+    return Tensor._from_op(_sum_band(x.data, max_rel), (
+        (x, lambda g: _gather_band(g, x.data.shape[-1])),))
 
 
 def greedy_decode(models: list, max_len: int) -> Hypothesis:

@@ -1,22 +1,21 @@
 """Tests for the architecture ladder: blocks, positions, variants."""
 
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import relative_position_index
+from oracles import band_gather, band_sum, relative_position_index
 from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DecoderLayerCache,
-                          DlclCombiner, Downsampler, EncoderOutput,
-                          FeedForward, ModelConfig,
-                          MultiHeadAttention, SpeechTranslator,
+                          DlclCombiner, Downsampler, Dropout, EncoderOutput,
+                          FeedForward, MemoryCache, ModelConfig,
+                          MultiHeadAttention, SelfAttentionCache, SpeechTranslator,
                           TransformerDecoderLayer, TransformerEncoderLayer,
                           _EncoderStack, add_absolute_positions, causal_mask,
                           downsampled_length, no_dropout, sinusoidal_positions)
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor, dropout, grad_check, layer_norm, no_grad
-from tinyst.text import BOS_ID
+from tinyst.tensor import Tensor, grad_check, layer_norm, no_grad
+from tinyst.text import BOS_ID, EOS_ID
 
 
 def tiny_cfg(**kw):
@@ -191,6 +190,50 @@ def reference_relative_attention(attn, query, kv, causal=False, drop=no_dropout)
     return attn.wo(ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden))
 
 
+def composite_attention(attn, query, kv, causal=False, drop=no_dropout,
+                        cache=None):
+    """`MultiHeadAttention.__call__` with its scores-to-context core built
+    from small graph ops, as it was before the fused `attention` op: the
+    oracle for that op."""
+    b, tq, hidden = query.shape
+    q = attn._split(attn.wq(query))
+    k, v = (attn._project_kv(kv) if cache is None
+            else cache.keys_values(attn._project_kv, kv))
+    tk = k.shape[2]
+    scores = q @ k.transpose(0, 1, 3, 2)
+    if attn.max_rel is not None:
+        scores = scores + band_gather(q @ attn.rel_k.transpose(), tk)
+    scores = scores * (attn.d_head ** -0.5)
+    if causal:
+        scores = scores + Tensor(causal_mask(tq, tk))
+    weights = drop(scores.softmax(axis=-1))
+    ctx = weights @ v
+    if attn.max_rel is not None:
+        ctx = ctx + band_sum(weights, attn.max_rel) @ attn.rel_v
+    return attn.wo(ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden))
+
+
+def outputs_and_grads(forward, attn, inputs, weights):
+    """forward(attn)'s output, and the gradients of its weighted sum for
+    attn's parameters and the leaf tensors `inputs`."""
+    attn.zero_grad()
+    for t in inputs:
+        t.grad = None
+    out = forward(attn)
+    (out * Tensor(weights)).sum().backward()
+    grads = {name: p.grad.copy() for name, p in attn.named_parameters()}
+    grads.update((f"input{i}", t.grad.copy()) for i, t in enumerate(inputs))
+    return out.data, grads
+
+
+def assert_same_outputs_and_grads(got, want):
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    assert set(got[1]) == set(want[1])
+    for name in got[1]:
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0,
+                                   atol=1e-12, err_msg=name)
+
+
 class TestBandAttention:
     """Relative attention by clipped offset against the (Tq, Tk, d_head)
     oracle, and the memory the band form saves."""
@@ -199,14 +242,6 @@ class TestBandAttention:
     # aligned to the last of 9 keys as in a cached decoder step.
     SHAPES = {"clipped": (11, 11, 2), "unclipped": (4, 4, 5),
               "one_query": (1, 9, 3), "three_queries": (3, 9, 3)}
-
-    def _outputs_and_grads(self, forward, attn, x, t_query, weights):
-        attn.zero_grad()
-        x.grad = None
-        out = forward(attn, x[:, -t_query:], x)
-        (out * Tensor(weights)).sum().backward()
-        grads = {name: p.grad.copy() for name, p in attn.named_parameters()}
-        return out.data, x.grad.copy(), grads
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -217,29 +252,32 @@ class TestBandAttention:
         attn = MultiHeadAttention(8, 2, RngStream(51), max_rel=max_rel)
         x = Tensor(rng.normal(size=(2, t_key, 8)), requires_grad=True)
         weights = rng.normal(size=(2, t_query, 8))
+
         # A fresh stream per call draws the same mask for both paths.
-        def drop(t):
-            return dropout(t, p_drop, RngStream(52))
+        def band(m):
+            return m(x[:, -t_query:], x, causal=causal,
+                     drop=Dropout(p_drop, RngStream(52)))
 
-        def band(m, q, kv):
-            return m(q, kv, causal=causal, drop=drop)
+        def oracle(m):
+            return reference_relative_attention(
+                m, x[:, -t_query:], x, causal=causal,
+                drop=Dropout(p_drop, RngStream(52)))
 
-        def oracle(m, q, kv):
-            return reference_relative_attention(m, q, kv, causal=causal, drop=drop)
-
-        out, gx, grads = self._outputs_and_grads(band, attn, x, t_query, weights)
-        ref_out, ref_gx, ref_grads = self._outputs_and_grads(
-            oracle, attn, x, t_query, weights)
-        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
-        assert set(grads) == set(ref_grads) >= {"rel_k", "rel_v", "wq.weight"}
-        for name in grads:
-            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0,
-                                       atol=1e-12, err_msg=name)
+        got = outputs_and_grads(band, attn, [x], weights)
+        want = outputs_and_grads(oracle, attn, [x], weights)
+        assert_same_outputs_and_grads(got, want)
+        assert set(got[1]) >= {"rel_k", "rel_v", "wq.weight", "input0"}
+        if p_drop:
+            # The rate and the stream reach the fused op: the mask shows.
+            with no_grad():
+                evaluated = attn(x[:, -t_query:], x, causal=causal).data
+            assert not np.allclose(got[0], evaluated)
 
     def test_peak_memory_at_long_shape(self):
-        # One layer at T'=256 with max_rel=100 peaks near 101 MB through
-        # (T, T, d_head) tables and near 35 MB by offset.
+        # One layer's forward and backward at T'=256 with max_rel=100 peaks
+        # near 101 MB through (T, T, d_head) tables, near 36 MB by offset
+        # with the core as a graph of small ops, and near 13.2 MB as one
+        # fused op whose graph frees as backward runs.
         attn = MultiHeadAttention(64, 4, RngStream(53), max_rel=100)
         x = Tensor(np.random.default_rng(54).normal(size=(1, 256, 64)),
                    requires_grad=True)
@@ -249,7 +287,7 @@ class TestBandAttention:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_retains_nothing_over_many_lengths(self):
         # Beam search meets a new key length every step and training a new
@@ -266,6 +304,97 @@ class TestBandAttention:
             tracemalloc.stop()
         # A cache of per-length index arrays held 7.7 MB here.
         assert retained < 1e6, f"retained {retained / 1e6:.2f} MB"
+
+
+class TestFusedAttention:
+    """`MultiHeadAttention`'s fused core against `composite_attention`, in
+    output and in every input and parameter gradient."""
+
+    @pytest.mark.parametrize("p_drop", [0.0, 0.3], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("max_rel", [None, 2], ids=["plain", "relative"])
+    @pytest.mark.parametrize("t_query", [7, 3], ids=["all_keys", "last_keys"])
+    def test_matches_composite(self, t_query, max_rel, causal, p_drop):
+        rng = np.random.default_rng(60)
+        attn = MultiHeadAttention(8, 2, RngStream(61), max_rel=max_rel)
+        x = Tensor(rng.normal(size=(2, 7, 8)), requires_grad=True)
+        weights = rng.normal(size=(2, t_query, 8))
+
+        def run(forward):
+            return outputs_and_grads(lambda m: forward(
+                m, x[:, -t_query:], x, causal=causal,
+                drop=Dropout(p_drop, RngStream(62))), attn, [x], weights)
+
+        assert_same_outputs_and_grads(run(MultiHeadAttention.__call__),
+                                      run(composite_attention))
+
+    def test_broadcast_memory_matches_composite(self):
+        # Three query rows over the keys and values of one memory row, which
+        # broadcast over the rows, as in cross-attention during beam search.
+        rng = np.random.default_rng(63)
+        attn = MultiHeadAttention(8, 2, RngStream(64))
+        query = Tensor(rng.normal(size=(3, 2, 8)), requires_grad=True)
+        memory = Tensor(rng.normal(size=(1, 5, 8)), requires_grad=True)
+        weights = rng.normal(size=(3, 2, 8))
+
+        def run(forward):
+            return outputs_and_grads(lambda m: forward(
+                m, query, memory, drop=Dropout(0.3, RngStream(65)),
+                cache=MemoryCache()), attn, [query, memory], weights)
+
+        assert_same_outputs_and_grads(run(MultiHeadAttention.__call__),
+                                      run(composite_attention))
+
+    @pytest.mark.parametrize("max_rel", [None, 2], ids=["plain", "relative"])
+    def test_cached_single_query_steps_match_composite(self, max_rel):
+        # Causal self-attention one position at a time over a growing cache
+        # whose rows are reordered midway, as in beam search; offsets clip
+        # from the fourth step on.
+        rng = np.random.default_rng(66)
+        attn = MultiHeadAttention(8, 2, RngStream(67), max_rel=max_rel)
+        steps = rng.normal(size=(6, 3, 1, 8))
+        outputs = []
+        for forward in (MultiHeadAttention.__call__, composite_attention):
+            cache = SelfAttentionCache()
+            outputs.append([])
+            with no_grad():
+                for i, x in enumerate(steps):
+                    outputs[-1].append(forward(attn, Tensor(x), Tensor(x),
+                                               causal=True, cache=cache).data)
+                    if i == 2:
+                        cache.reorder(np.array([2, 0, 0]))
+        for got, want in zip(*outputs):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestTrainingStepMemory:
+    def test_peak_memory_of_a_long_conformer_rpe_step(self):
+        # One training step (dropout on, forward, CE and CTC, backward) of the
+        # long benchmark's model on a 10.5 s utterance (T'=263) with a
+        # 100-token target.  Keeping the whole graph to the end of the step,
+        # with the attention core as small ops, peaked near 225 MB; the fused
+        # core and a graph that frees as backward runs peak near 57 MB.
+        from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
+
+        cfg = ModelConfig(vocab_size=60, variant="conformer_rpe", enc_layers=3,
+                          dec_layers=1, hidden=64, heads=4, ffn=256)
+        model = SpeechTranslator(cfg, RngStream(1))
+        rng = np.random.default_rng(2)
+        feats = Tensor(rng.normal(size=(1, 1050, 80)))
+        tokens = rng.integers(5, 60, size=100)
+        prefix = np.concatenate([[BOS_ID], tokens])[None]
+        targets = np.concatenate([tokens, [EOS_ID]])
+        tracemalloc.start()
+        try:
+            logits, enc = model.forward(feats, prefix, rng=RngStream(3))
+            ce = label_smoothed_ce(logits.reshape(101, 60), targets)
+            ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
+                                 [list(tokens)]).mean()
+            multitask_loss(ce, ctc, 0.3).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 66e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestTransformerLayer:
@@ -605,8 +734,8 @@ class TestDropoutStream:
         build, call = BLOCKS[name]
         block, x = build(), Tensor(_X)
         plain = call(block, x).data
-        evaluated = call(block, x, drop=partial(dropout, p=0.3, rng=None)).data
-        trained = call(block, x, drop=partial(dropout, p=0.3, rng=RngStream(3))).data
+        evaluated = call(block, x, drop=Dropout(0.3, None)).data
+        trained = call(block, x, drop=Dropout(0.3, RngStream(3))).data
         np.testing.assert_array_equal(plain, evaluated)
         assert not np.array_equal(plain, trained)
 

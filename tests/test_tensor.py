@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from oracles import relative_position_index
+from oracles import band_gather, band_sum, relative_position_index
 from tinyst import tensor as T
-from tinyst.losses import ctc_loss_batch
+from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
+from tinyst.model import ModelConfig, SpeechTranslator, causal_mask
 from tinyst.rng import RngStream
 from tinyst.tensor import Tensor, conv1d, depthwise_conv1d, grad_check, layer_norm
+from tinyst.text import BOS_ID, EOS_ID
 
 
 class TestForwardValues:
@@ -204,6 +206,30 @@ class TestConvShapes:
             assert h2[0].shape[0] == -(-(-(-t // 2)) // 2)
 
 
+def retaining_backward(root) -> dict:
+    """The graph engine as it was before it released graphs, kept as the
+    reference: the same traversal and accumulation, with every node keeping
+    its gradient and vjps.  Returns {id(tensor): gradient} for every tensor
+    the pass reached, and leaves `.grad` alone."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p, _ in node._vjps if id(p) not in visited)
+    grads = {id(root): np.zeros_like(root.data)}
+    grads[id(root)] += np.ones_like(root.data)
+    for node in reversed(topo):
+        for p, vjp in node._vjps:
+            if id(p) not in grads:
+                grads[id(p)] = np.zeros_like(p.data)
+            grads[id(p)] += vjp(grads[id(node)])
+    return grads
+
+
 class TestBackward:
     def test_diamond_graph_accumulates(self):
         x = Tensor(3.0, requires_grad=True)
@@ -241,6 +267,62 @@ class TestBackward:
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0, 0.0, 2.0, 0.0, 1.0])
 
+    def test_second_backward_raises_and_leaves_gradients(self):
+        # y = (3x)^2 at x = 2: dy/dx = 36, and a refused second pass leaves
+        # it there instead of adding stale intermediate gradients again.
+        x = Tensor(2.0, requires_grad=True)
+        y = (x * 3.0) * (x * 3.0)
+        y.backward()
+        np.testing.assert_array_equal(x.grad, 36.0)
+        with pytest.raises(RuntimeError, match="released"):
+            y.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (y * 2.0).backward()
+        np.testing.assert_array_equal(x.grad, 36.0)
+
+    def test_leaf_gradients_add_up_over_graphs(self):
+        x = Tensor(2.0, requires_grad=True)
+        for _ in range(2):
+            ((x * 3.0) * (x * 3.0)).backward()
+        np.testing.assert_array_equal(x.grad, 72.0)
+
+    @pytest.mark.parametrize("variant", ["conformer_rpe", "sate"])
+    def test_leaf_gradients_bitwise_equal_to_retaining_engine(self, variant):
+        # A training-mode step (dropout on) of a model whose relative offsets
+        # clip, run twice from the same seeds: once through the releasing
+        # engine, once through the reference.
+        cfg = ModelConfig(vocab_size=9, variant=variant, enc_layers=2,
+                          acoustic_layers=1, dec_layers=1, hidden=8, heads=2,
+                          ffn=16, conv_kernel=3, rpe_enc_max=2, rpe_dec_max=1,
+                          adaptor_mix_embeddings=True)
+        model = SpeechTranslator(cfg, RngStream(23))
+        feats = Tensor(np.random.default_rng(24).normal(size=(2, 24, 80)))
+        prefix = np.array([[BOS_ID, 5, 6, 7], [BOS_ID, 7, 6, 5]])
+        targets = np.array([5, 6, 7, EOS_ID, 7, 6, 5, EOS_ID])
+
+        def loss():
+            logits, enc = model.forward(feats, prefix, rng=RngStream(25))
+            ce = label_smoothed_ce(logits.reshape(8, 9), targets)
+            ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
+                                 [[5, 6], [7]]).mean()
+            return multitask_loss(ce, ctc, 0.3)
+
+        model.zero_grad()
+        loss().backward()
+        want = retaining_backward(loss())
+        for name, p in model.named_parameters():
+            assert p.grad.tobytes() == want[id(p)].tobytes(), name
+
+    def test_backward_releases_every_intermediate(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        h = x * x
+        s = h.softmax(axis=-1)
+        y = (s + h).sum()
+        y.backward()
+        for node in (h, s, y):
+            assert node.grad is None and node._vjps is None
+        assert x.grad is not None and x._vjps == ()
+
     def test_no_grad_blocks_graph(self):
         x = Tensor(2.0, requires_grad=True)
         with T.no_grad():
@@ -271,9 +353,17 @@ OPS = {
     "glu": lambda x: T.glu(x).sum(),
     "layer_norm": lambda x: layer_norm(
         x, Tensor(np.linspace(0.5, 1.5, 4)), Tensor(np.zeros(4))).sum(),
-    # Queries aligned to the last of more keys, offsets clipped at 1.
-    "band_gather": lambda x: sum_sq(T.band_gather(x[:, :3], 6)),
-    "band_sum": lambda x: sum_sq(T.band_sum(x[1:], 1)),
+    # The band helpers as graph ops (`oracles`): their gradient checks show
+    # that `_sum_band` is the adjoint of `_gather_band`.  Queries aligned to
+    # the last of more keys, offsets clipped at 1.
+    "band_gather": lambda x: sum_sq(band_gather(x[:, :3], 6)),
+    "band_sum": lambda x: sum_sq(band_sum(x[1:], 1)),
+    # Three queries aligned to the last of four keys, offsets clipped at 1,
+    # under a causal mask and a fixed-seed dropout mask.
+    "rel_attn": lambda x: sum_sq(T.attention(
+        x[None, 1:], x[None], x[None] * 0.5, x[:3], x[1:], mask=causal_mask(3, 4),
+        p=0.25, rng=RngStream(19))),
+    "attention": lambda x: sum_sq(T.attention(x, x.transpose(), x)),
     # A ragged batch whose first target repeats a label.
     "ctc": lambda x: ctc_loss_batch(T.stack([x, x.transpose()]).log_softmax(axis=-1),
                                     [[1, 1], [3]], blank=0).sum(),
@@ -367,6 +457,20 @@ class TestGradCheckPerOp:
 
 
 class TestDropout:
+    @pytest.mark.parametrize("p", [0.1, 0.4])
+    def test_float_mask_product_bitwise(self, p):
+        # The node keeps a boolean mask; value and gradient are the bits of
+        # multiplying by the float mask (u >= p) / (1 - p) of the same draws.
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(3, 5, 7)), requires_grad=True)
+        g = rng.normal(size=(3, 5, 7))
+        y = T.dropout(x, p, RngStream(21))
+        (y * Tensor(g)).sum().backward()
+        mask = (RngStream(21).uniform(size=(3, 5, 7)) >= p) / (1.0 - p)
+        assert y.data.tobytes() == (x.data * mask).tobytes()
+        # (The accumulator turns -0.0 into 0.0, which array_equal allows.)
+        np.testing.assert_array_equal(x.grad, g * mask)
+
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones((3, 3)))
         y = T.dropout(x, 0.5, None)
