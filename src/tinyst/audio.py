@@ -178,7 +178,9 @@ def save_features(path, features: np.ndarray):
 
 
 def load_features(path) -> np.ndarray:
-    """Read a cached feature matrix back as float64."""
+    """Read a cached (frames, 80) feature matrix back as float64.  A file
+    with another channel count, or with bytes after its payload, is
+    rejected with its path."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:
@@ -188,9 +190,14 @@ def load_features(path) -> np.ndarray:
             raise ValueError(f"{path}: not a feature cache file (magic {magic!r})")
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported feature version {version}")
+        if channels != N_MELS:
+            raise ValueError(f"{path}: {channels} feature channels, expected {N_MELS}")
         payload = fh.read(4 * frames * channels)
+        trailing = len(fh.read())
     if len(payload) != 4 * frames * channels:
         raise ValueError(f"{path}: truncated feature payload")
+    if trailing:
+        raise ValueError(f"{path}: {trailing} bytes after the feature payload")
     arr = np.frombuffer(payload, dtype="<f4").reshape(frames, channels)
     return arr.astype(np.float64)
 

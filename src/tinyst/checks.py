@@ -21,15 +21,15 @@ from .losses import (
 from .model import ModelConfig, SpeechTranslator, causal_mask
 from .rng import RngStream
 from .tensor import (
+    Dropout,
     Tensor,
     attention,
     conv1d,
     depthwise_conv1d,
-    dropout,
     glu,
     grad_check,
     layer_norm,
-    stack,
+    weighted_sum,
 )
 from .text import BOS_ID, EOS_ID
 
@@ -84,9 +84,9 @@ def op_gradcheck_sweep(seed: int = 0) -> dict:
     check("transpose", lambda: (x.transpose() @ m1).sum(), [x, m1])
     check("getitem", lambda: (x[1:, ::2] * 2.0).sum()
           + x[(np.array([0, 2]), np.array([1, 1]))].sum(), [x])
-    mix = np.array([[1.0], [-2.0], [0.5]])  # fixed weights over the stacked axis
-    check("stack", lambda: (stack([a, b, a + b], axis=1).softmax(axis=1) * mix).sum(),
-          [a, b])
+    mix = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    check("weighted_sum", lambda: _sum_sq(weighted_sum([a, b, a * b], mix)),
+          [a, b, mix])
 
     g = _param(rng, 5)
     beta = _param(rng, 5)
@@ -103,7 +103,7 @@ def op_gradcheck_sweep(seed: int = 0) -> dict:
     check("glu", lambda: glu(cx).sum(), [cx])
     # A fresh stream with a fixed seed redraws the same mask every call,
     # which keeps the loss deterministic for the numeric probes.
-    check("dropout", lambda: dropout(cx, 0.4, RngStream(77)).sum(), [cx])
+    check("dropout", lambda: Dropout(0.4, RngStream(77))(cx).sum(), [cx])
     # Attention over two heads of width 3: three queries aligned to the last
     # of five keys, with relative offsets clipped at 1, a causal mask and a
     # fixed-seed dropout mask; and a batch of two query sets over a key
@@ -114,8 +114,8 @@ def op_gradcheck_sweep(seed: int = 0) -> dict:
     rel_k = _param(rng, 3, 3)
     rel_v = _param(rng, 3, 3)
     check("attention_relative_causal_dropout", lambda: _sum_sq(attention(
-        att_q, att_k, att_v, rel_k, rel_v, mask=causal_mask(3, 5), p=0.3,
-        rng=RngStream(78))), [att_q, att_k, att_v, rel_k, rel_v])
+        att_q, att_k, att_v, rel_k, rel_v, mask=causal_mask(3, 5),
+        drop=Dropout(0.3, RngStream(78)))), [att_q, att_k, att_v, rel_k, rel_v])
     rows_q = _param(rng, 2, 2, 4, 3)
     check("attention_plain_full", lambda: _sum_sq(attention(
         rows_q, att_k[None], att_v[None])), [rows_q, att_k, att_v])

@@ -24,9 +24,9 @@ that lives for the utterance, and reorders it as hypotheses branch.
 
 Dropout is on exactly when a random stream is given.  `SpeechTranslator`
 binds its one rate (`ModelConfig.dropout`) and the caller's stream into a
-single `Dropout`, `drop`, and passes it down; every block applies `drop`
-wherever it drops units, and attention hands its rate and stream to the
-fused attention op.  A block called without `drop` runs in eval mode.
+single `Dropout` (from :mod:`tinyst.tensor`), `drop`, and passes it down;
+every block calls `drop` wherever it drops units, and attention hands it to
+the fused attention op.  A block called without `drop` runs in eval mode.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (LOG_ZERO, Tensor, attention, depthwise_conv1d, dropout,
-                     glu, layer_norm, stack)
+from .tensor import (LOG_ZERO, Dropout, Tensor, attention, depthwise_conv1d,
+                     glu, layer_norm, no_dropout, weighted_sum)
 from .tensor import conv1d as conv1d_op
 from .text import BOS_ID
 
@@ -191,22 +191,6 @@ def causal_mask(t_query: int, t_key: int) -> np.ndarray:
     return np.triu(np.full((t_query, t_key), LOG_ZERO), k=1 + t_key - t_query)
 
 
-@dataclass(frozen=True)
-class Dropout:
-    """The dropout of one pass: rate `p`, drawing its masks from `rng`.
-    Called on a tensor, it applies `dropout`; with no stream (or p == 0) it
-    is eval mode, the identity."""
-
-    p: float = 0.0
-    rng: RngStream | None = None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return dropout(x, self.p, self.rng)
-
-
-no_dropout = Dropout()
-
-
 class SelfAttentionCache:
     """The keys and values a self-attention layer has projected so far, each
     (rows, heads, L, d_head).  Each call appends the new positions' keys
@@ -323,7 +307,7 @@ class MultiHeadAttention(Module):
         rel = () if self.max_rel is None else (self.rel_k, self.rel_v)
         ctx = attention(q, k, v, *rel,
                         mask=causal_mask(tq, k.shape[2]) if causal else None,
-                        p=drop.p, rng=drop.rng)
+                        drop=drop)
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden)
         return self.wo(merged)
 
@@ -410,7 +394,7 @@ class DlclCombiner(Module):
     Row r of the weight matrix mixes outputs 0..r (output 0 being the stack
     input) and feeds layer r+1, or becomes the stack output for r == n_layers.
     Rows start uniform at 1/(r+1); entries above the diagonal are structural
-    zeros that no forward pass ever reads.
+    zeros that no forward pass ever reads.  A mix is one `weighted_sum` node.
     """
 
     def __init__(self, n_layers: int, hidden: int):
@@ -421,8 +405,7 @@ class DlclCombiner(Module):
         self.norms = [LayerNorm(hidden) for _ in range(n_layers + 1)]
 
     def combine(self, normed_outputs: list, row: int) -> Tensor:
-        w = self.weights[row, :row + 1].reshape(row + 1, 1, 1, 1)
-        return (stack(normed_outputs[:row + 1], axis=0) * w).sum(axis=0)
+        return weighted_sum(normed_outputs[:row + 1], self.weights[row, :row + 1])
 
 
 class Downsampler(Module):

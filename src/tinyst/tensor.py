@@ -1,11 +1,12 @@
 """N-dimensional float64 tensors with reverse-mode automatic differentiation.
 
 The module defines the ops that the model, the losses and the
-gradient-check probes use, and no others.  Every model, loss and
-regularizer in this package is composed from them, except the CTC loss,
-which is one node of its own (:mod:`tinyst.losses`); a single
-finite-difference checker (:func:`grad_check`) exercises both, and so the
-whole system end to end.  Values are immutable after creation except for the
+gradient-check probes use, and no others; `attention`, `weighted_sum` (the
+DLCL layer mix) and the call of a :class:`Dropout` each do one model job as
+one node.  Every model, loss and regularizer in this package is composed
+from them, except the CTC loss, a node of its own in :mod:`tinyst.losses`;
+one finite-difference checker (:func:`grad_check`) exercises both, and so
+the whole system end to end.  Values are immutable after creation except for the
 gradient accumulator; the graph is dynamic, built afresh on every forward
 pass and released by the backward pass that runs through it.
 
@@ -27,6 +28,7 @@ passes NaN-free.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -272,10 +274,15 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    return Tensor._from_op(np.stack([t.data for t in tensors], axis=axis), tuple(
-        (t, lambda g, i=i: np.moveaxis(g, axis, 0)[i]) for i, t in enumerate(tensors)))
+def weighted_sum(xs: Sequence[Tensor], w: Tensor) -> Tensor:
+    """sum_i w[i] * xs[i], the terms added in order, over same-shape tensors
+    and a (len(xs),) weight vector: one node that keeps only its inputs."""
+    out = xs[0].data * w.data[0]
+    for i in range(1, len(xs)):
+        out = out + xs[i].data * w.data[i]
+    return Tensor._from_op(out, tuple(
+        (x, lambda g, i=i: g * w.data[i]) for i, x in enumerate(xs)) + (
+        (w, lambda g: np.array([(g * x.data).sum() for x in xs])),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -443,36 +450,43 @@ def _sum_band(x: np.ndarray, max_rel: int) -> np.ndarray:
     return out
 
 
-def _keep_mask(shape: tuple, p: float, rng: RngStream | None):
-    """The units that inverted dropout at rate p keeps, as a boolean array
-    drawn from `rng` (one uniform per unit), or None when dropout is the
-    identity: with no stream or p == 0, nothing is drawn."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if rng is None or p == 0.0:
-        return None
-    return rng.uniform(size=shape) >= p
+@dataclass(frozen=True)
+class Dropout:
+    """Inverted dropout at rate `p`, masks drawn from `rng`: one op that
+    zeroes each unit with probability p, scales the rest by 1/(1-p) and keeps
+    only the boolean mask.  With no stream (or p == 0) it is eval mode, the
+    identity.  `attention` drops its weights with the same masks."""
+
+    p: float = 0.0
+    rng: RngStream | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.p < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.p}")
+
+    def _keep(self, shape: tuple):
+        """The kept units (one uniform draw each), or None in eval mode."""
+        if self.rng is None or self.p == 0.0:
+            return None
+        return self.rng.uniform(size=shape) >= self.p
+
+    def _scaled(self, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        return x * (keep / (1.0 - self.p))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        keep = self._keep(x.data.shape)
+        if keep is None:
+            return x
+        return Tensor._from_op(self._scaled(x.data, keep),
+                               ((x, lambda g: self._scaled(g, keep)),))
 
 
-def _kept(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
-    """x with the dropped units zeroed and the kept ones scaled by 1/(1-p)."""
-    return x * (keep / (1.0 - p))
-
-
-def dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
-    """Inverted dropout: zeroes each unit with probability p and scales the
-    kept ones by 1/(1-p).  The stream is the train/eval switch: with no
-    stream (or p == 0) it is the identity and draws nothing.  The node keeps
-    only the boolean mask."""
-    keep = _keep_mask(x.data.shape, p, rng)
-    if keep is None:
-        return x
-    return Tensor._from_op(_kept(x.data, keep, p), ((x, lambda g: _kept(g, keep, p)),))
+no_dropout = Dropout()
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, rel_k: Tensor | None = None,
               rel_v: Tensor | None = None, mask: np.ndarray | None = None,
-              p: float = 0.0, rng: RngStream | None = None) -> Tensor:
+              drop: Dropout = no_dropout) -> Tensor:
     """Scaled dot-product attention from queries, keys and values to the
     context, as one graph node.
 
@@ -482,12 +496,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rel_k: Tensor | None = None,
     clipped offsets -R..R, and
 
         S = (q k^T + _gather_band(q rel_k^T)) / sqrt(d) + mask
-        P = softmax(S) over the keys, then dropout at rate p from `rng`
+        P = drop(softmax(S)), the softmax over the keys
         out = P v + _sum_band(P) rel_v
 
     where `_gather_band` spreads the per-offset scores over the keys and
     `_sum_band` adds each row's weights up per offset.  `mask` is additive
-    (LOG_ZERO hides a key), and dropout draws its mask as `dropout` does.
+    (LOG_ZERO hides a key), and `drop` draws its mask as when it is called.
     Besides its inputs, the node keeps only P and the boolean dropout mask.
     Its backward forms dS = P * (dP - rowsum(dP * P)) / sqrt(d) once for
     the q, k and rel_k vjps; the band helpers, each the other's adjoint,
@@ -506,10 +520,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rel_k: Tensor | None = None,
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep = _keep_mask(probs.shape, p, rng)
+    keep = drop._keep(probs.shape)
 
     def weights():
-        return probs if keep is None else _kept(probs, keep, p)
+        return probs if keep is None else drop._scaled(probs, keep)
 
     w = weights()
     out = w @ v.data
@@ -527,7 +541,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rel_k: Tensor | None = None,
             if rel:
                 dw = dw + _gather_band(g @ rel_v.data.T, t_key)
             if keep is not None:
-                dw = _kept(dw, keep, p)
+                dw = drop._scaled(dw, keep)
             ds = dw - (dw * probs).sum(axis=-1, keepdims=True)
             ds *= probs
             ds *= scale

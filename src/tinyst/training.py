@@ -50,7 +50,9 @@ class Adam:
     """Bias-corrected Adam over named parameters.
 
     Aborts with the parameter's name when a gradient goes non-finite, which
-    is the only runtime signal worth more than the update itself.
+    is the only runtime signal worth more than the update itself.  It checks
+    every gradient before it updates anything, so a refused step changes no
+    parameter, moment or step count.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.98, 1e-9
@@ -62,16 +64,17 @@ class Adam:
         self.v = [np.zeros_like(p.data) for _, p in self.named_params]
 
     def step(self, lr: float):
+        for name, p in self.named_params:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise FloatingPointError(f"non-finite gradient in {name}")
         self.step_count += 1
         b1, b2 = self.BETA1, self.BETA2
         correct1 = 1.0 - b1 ** self.step_count
         correct2 = 1.0 - b2 ** self.step_count
-        for i, (name, p) in enumerate(self.named_params):
+        for i, (_, p) in enumerate(self.named_params):
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient in {name}")
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / correct1

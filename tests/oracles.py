@@ -3,7 +3,9 @@
 `relative_position_index` defines the clipped relative-position band that
 the band helpers and relative attention are checked on; `band_gather` and
 `band_sum` make the two band helpers graph ops of their own, as the
-attention core used them before it became one op; `greedy_decode` is the
+attention core used them before it became one op; `composite_weighted_sum`
+is the DLCL layer mix built from general ops, with `stack` as one of them,
+as it was before `weighted_sum` became one op; `greedy_decode` is the
 decoder beam search must equal at beam 1; `edit_distance`,
 `edit_accuracy` and `token_accuracy` score the toy task and the CTC branch
 in the acceptance suite.  The program itself scores with BLEU only.
@@ -35,6 +37,18 @@ def band_sum(x: Tensor, max_rel: int) -> Tensor:
     """`_sum_band` as a graph op, with `_gather_band` as its vjp."""
     return Tensor._from_op(_sum_band(x.data, max_rel), (
         (x, lambda g: _gather_band(g, x.data.shape[-1])),))
+
+
+def stack(tensors: list) -> Tensor:
+    """np.stack along a new leading axis, as a graph op."""
+    return Tensor._from_op(np.stack([t.data for t in tensors]), tuple(
+        (t, lambda g, i=i: g[i]) for i, t in enumerate(tensors)))
+
+
+def composite_weighted_sum(xs: list, w: Tensor) -> Tensor:
+    """sum_i w[i] * xs[i] as stack, scale and sum over the stacked axis."""
+    n = len(xs)
+    return (stack(xs) * w.reshape(n, *(1,) * xs[0].ndim)).sum(axis=0)
 
 
 def greedy_decode(models: list, max_len: int) -> Hypothesis:

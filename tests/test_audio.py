@@ -188,6 +188,21 @@ class TestFeatureCache:
         with pytest.raises(ValueError, match="truncated"):
             load_features(p)
 
+    def test_rejects_bytes_after_the_payload(self, tmp_path):
+        p = tmp_path / "utt.feat"
+        save_features(p, np.zeros((5, 80)))
+        p.write_bytes(p.read_bytes() + b"\x00" * 3)
+        with pytest.raises(ValueError, match="3 bytes after") as exc:
+            load_features(p)
+        assert "utt.feat" in str(exc.value)
+
+    def test_rejects_other_channel_counts(self, tmp_path):
+        p = tmp_path / "utt.feat"
+        save_features(p, np.zeros((5, 40)))
+        with pytest.raises(ValueError, match="40 feature channels, expected 80") as exc:
+            load_features(p)
+        assert "utt.feat" in str(exc.value)
+
 
 class TestWavIO:
     def test_roundtrip(self, tmp_path):

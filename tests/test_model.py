@@ -5,16 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import band_gather, band_sum, relative_position_index
+from oracles import (band_gather, band_sum, composite_weighted_sum,
+                     relative_position_index)
 from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DecoderLayerCache,
-                          DlclCombiner, Downsampler, Dropout, EncoderOutput,
+                          DlclCombiner, Downsampler, EncoderOutput,
                           FeedForward, MemoryCache, ModelConfig,
                           MultiHeadAttention, SelfAttentionCache, SpeechTranslator,
                           TransformerDecoderLayer, TransformerEncoderLayer,
                           _EncoderStack, add_absolute_positions, causal_mask,
-                          downsampled_length, no_dropout, sinusoidal_positions)
+                          downsampled_length, sinusoidal_positions)
 from tinyst.rng import RngStream
-from tinyst.tensor import Tensor, grad_check, layer_norm, no_grad
+from tinyst.tensor import (Dropout, Tensor, grad_check, layer_norm, no_dropout,
+                           no_grad)
 from tinyst.text import BOS_ID, EOS_ID
 
 
@@ -367,34 +369,53 @@ class TestFusedAttention:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def training_step_peak(cfg: ModelConfig, batch: int, frames: int,
+                       length: int) -> int:
+    """The tracemalloc peak, in bytes, of one training step (dropout on,
+    forward, CE and CTC, backward) on random features and targets of
+    `length` tokens."""
+    from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
+
+    model = SpeechTranslator(cfg, RngStream(1))
+    rng = np.random.default_rng(2)
+    feats = Tensor(rng.normal(size=(batch, frames, 80)))
+    tokens = rng.integers(5, cfg.vocab_size, size=(batch, length))
+    prefix = np.concatenate([np.full((batch, 1), BOS_ID), tokens], axis=1)
+    targets = np.concatenate([tokens, np.full((batch, 1), EOS_ID)], axis=1)
+    t_out = downsampled_length(frames)
+    tracemalloc.start()
+    try:
+        logits, enc = model.forward(feats, prefix, rng=RngStream(3))
+        ce = label_smoothed_ce(logits.reshape(-1, cfg.vocab_size),
+                               targets.reshape(-1))
+        ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
+                             [list(t[:t_out // 2]) for t in tokens]).mean()
+        multitask_loss(ce, ctc, 0.3).backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTrainingStepMemory:
     def test_peak_memory_of_a_long_conformer_rpe_step(self):
-        # One training step (dropout on, forward, CE and CTC, backward) of the
-        # long benchmark's model on a 10.5 s utterance (T'=263) with a
+        # The long benchmark's model on a 10.5 s utterance (T'=263) with a
         # 100-token target.  Keeping the whole graph to the end of the step,
         # with the attention core as small ops, peaked near 225 MB; the fused
         # core and a graph that frees as backward runs peak near 57 MB.
-        from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
-
         cfg = ModelConfig(vocab_size=60, variant="conformer_rpe", enc_layers=3,
                           dec_layers=1, hidden=64, heads=4, ffn=256)
-        model = SpeechTranslator(cfg, RngStream(1))
-        rng = np.random.default_rng(2)
-        feats = Tensor(rng.normal(size=(1, 1050, 80)))
-        tokens = rng.integers(5, 60, size=100)
-        prefix = np.concatenate([[BOS_ID], tokens])[None]
-        targets = np.concatenate([tokens, [EOS_ID]])
-        tracemalloc.start()
-        try:
-            logits, enc = model.forward(feats, prefix, rng=RngStream(3))
-            ce = label_smoothed_ce(logits.reshape(101, 60), targets)
-            ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
-                                 [list(tokens)]).mean()
-            multitask_loss(ce, ctc, 0.3).backward()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = training_step_peak(cfg, batch=1, frames=1050, length=100)
         assert peak < 66e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_peak_memory_of_a_toy_baseline_step(self):
+        # The toy benchmark's model on a full batch: 37 utterances of 48
+        # frames (T'=12) with 12-token targets.  Mixing the DLCL layers from
+        # stack, mul and sum nodes, which keep copies of the mixed outputs,
+        # peaked at 77.8 MiB; one weighted_sum node per mix peaks at 71.3 MiB.
+        cfg = ModelConfig(vocab_size=40, variant="baseline", enc_layers=4,
+                          dec_layers=2, hidden=64, heads=4, ffn=256)
+        peak = training_step_peak(cfg, batch=37, frames=48, length=12)
+        assert peak < 74.5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestTransformerLayer:
@@ -520,6 +541,32 @@ class TestDlcl:
         dlcl = DlclCombiner(1, 8)
         y = Tensor(np.random.default_rng(12).normal(size=(2, 3, 8)))
         np.testing.assert_allclose(dlcl.combine([y, y], 1).data, y.data, atol=1e-15)
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_mix_matches_composite_bitwise(self, row):
+        # The mix is elementwise (no BLAS call), so the bits do not depend
+        # on the BLAS thread count.
+        rng = np.random.default_rng(14)
+        dlcl = DlclCombiner(3, 8)
+        dlcl.weights.data[...] = np.tril(rng.normal(size=(4, 4)))
+        outs = [Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
+                for _ in range(4)]
+        g = Tensor(rng.normal(size=(2, 5, 8)))
+
+        def run(mix):
+            dlcl.zero_grad()
+            for t in outs:
+                t.grad = None
+            y = mix()
+            (y * g).sum().backward()
+            return [y.data, dlcl.weights.grad] + [t.grad for t in outs[:row + 1]]
+
+        got = run(lambda: dlcl.combine(outs, row))
+        want = run(lambda: composite_weighted_sum(
+            outs[:row + 1], dlcl.weights[row, :row + 1]))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert all(t.grad is None for t in outs[row + 1:])
 
     def test_structural_zeros_stay_above_diagonal(self):
         dlcl = DlclCombiner(3, 4)

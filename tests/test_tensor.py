@@ -349,7 +349,8 @@ OPS = {
     "reshape": lambda x: sum_sq(x.reshape(2, 8)),
     "transpose": lambda x: (x.transpose() @ x).sum() * 0.1,
     "getitem": lambda x: (x[1:3, ::2] * 2.0).sum(),
-    "stack": lambda x: sum_sq(T.stack([x, x * x], axis=1)),
+    # The weights are read off x as well, so the weight vjp is checked too.
+    "weighted_sum": lambda x: sum_sq(T.weighted_sum([x, x * x, x.transpose()], x[0, :3])),
     "glu": lambda x: T.glu(x).sum(),
     "layer_norm": lambda x: layer_norm(
         x, Tensor(np.linspace(0.5, 1.5, 4)), Tensor(np.zeros(4))).sum(),
@@ -362,11 +363,12 @@ OPS = {
     # under a causal mask and a fixed-seed dropout mask.
     "rel_attn": lambda x: sum_sq(T.attention(
         x[None, 1:], x[None], x[None] * 0.5, x[:3], x[1:], mask=causal_mask(3, 4),
-        p=0.25, rng=RngStream(19))),
+        drop=T.Dropout(0.25, RngStream(19)))),
     "attention": lambda x: sum_sq(T.attention(x, x.transpose(), x)),
-    # A ragged batch whose first target repeats a label.
-    "ctc": lambda x: ctc_loss_batch(T.stack([x, x.transpose()]).log_softmax(axis=-1),
-                                    [[1, 1], [3]], blank=0).sum(),
+    # A ragged batch whose first target repeats a label; the second
+    # utterance is the first with its frames reversed.
+    "ctc": lambda x: ctc_loss_batch(x[np.array([[0, 1, 2, 3], [3, 2, 1, 0]])]
+                                    .log_softmax(axis=-1), [[1, 1], [3]], blank=0).sum(),
     "conv1d": lambda x: sum_sq(conv1d(x[None], x[:3, :, None] * 0.5, x[0, :1],
                                       stride=2, padding=1)),
     "depthwise_conv1d": lambda x: sum_sq(depthwise_conv1d(x[None], x[:3], x[3],
@@ -464,7 +466,7 @@ class TestDropout:
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(3, 5, 7)), requires_grad=True)
         g = rng.normal(size=(3, 5, 7))
-        y = T.dropout(x, p, RngStream(21))
+        y = T.Dropout(p, RngStream(21))(x)
         (y * Tensor(g)).sum().backward()
         mask = (RngStream(21).uniform(size=(3, 5, 7)) >= p) / (1.0 - p)
         assert y.data.tobytes() == (x.data * mask).tobytes()
@@ -473,20 +475,20 @@ class TestDropout:
 
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        y = T.dropout(x, 0.5, None)
+        y = T.Dropout(0.5, None)(x)
         assert y is x
 
     def test_training_scales_survivors(self):
         rng = RngStream(123)
         x = Tensor(np.ones((100, 100)))
-        y = T.dropout(x, 0.4, rng).data
+        y = T.Dropout(0.4, rng)(x).data
         kept = y[y != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.6)
         assert abs(kept.size / y.size - 0.6) < 0.02
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            T.dropout(Tensor(np.ones(3)), 1.0, RngStream(0))
+        with pytest.raises(ValueError, match="dropout rate"):
+            T.Dropout(1.0, RngStream(0))
 
 
 class TestRngStream:

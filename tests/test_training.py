@@ -123,6 +123,23 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="layers.0.w"):
             opt.step(0.1)
 
+    def test_nonfinite_last_gradient_changes_nothing(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        opt = Adam([("a", a), ("b", b)])
+        a.grad, b.grad = np.array([0.5, 0.25]), np.array([1.0])
+        opt.step(0.1)
+        before = ([a.data.copy(), b.data.copy()], [m.copy() for m in opt.m],
+                  [v.copy() for v in opt.v], opt.step_count)
+        a.grad, b.grad = np.array([0.5, 0.25]), np.array([np.nan])
+        with pytest.raises(FloatingPointError, match="in b"):
+            opt.step(0.1)
+        after = ([a.data, b.data], opt.m, opt.v, opt.step_count)
+        for want, got in zip(before[:3], after[:3]):
+            for w, g in zip(want, got):
+                np.testing.assert_array_equal(g, w)
+        assert after[3] == before[3] == 1
+
     def test_step_counter(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = Adam([("p", p)])
