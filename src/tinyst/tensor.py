@@ -6,9 +6,9 @@ DLCL layer mix) and the call of a :class:`Dropout` each do one model job as
 one node.  Every model, loss and regularizer in this package is composed
 from them, except the CTC loss, a node of its own in :mod:`tinyst.losses`;
 one finite-difference checker (:func:`grad_check`) exercises both, and so
-the whole system end to end.  Values are immutable after creation except for the
-gradient accumulator; the graph is dynamic, built afresh on every forward
-pass and released by the backward pass that runs through it.
+the whole system end to end.  Values and gradients are immutable after
+creation; the graph is dynamic, built afresh on every forward pass and
+released by the backward pass that runs through it.
 
 An op computes its result in numpy and returns
 ``Tensor._from_op(result, ((input, vjp), ...))``: one vector-Jacobian
@@ -113,27 +113,32 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def _accum(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- backward traversal -------------------------------------------------
 
     def backward(self):
-        """Add d(self)/d(leaf) into the `.grad` of every tracked leaf (a
+        """Add d(self)/d(leaf) to the `.grad` of every tracked leaf (a
         tensor that no op produced, such as a parameter), then release the
         graph.
 
-        The root must be a scalar.  Traversal is iterative topological
-        order, so each node's vjps run exactly once even on diamond graphs.
-        Once a node's vjps have run, its `.grad` and vjps are dropped, and
-        with them the activations the vjps hold, so memory frees as the pass
-        goes.  A released graph cannot run backward again: a second call, or
-        a backward through a value computed from a released one, raises
-        before touching any gradient.  Leaf gradients add up over graphs.
+        The root must be a scalar that requires a gradient.  Traversal is
+        iterative topological order, so each node's vjps run exactly once
+        even on diamond graphs.  A first gradient is kept as its vjp returned
+        it and a later one rebinds `.grad` to the sum, so gradients may share
+        memory and none is written in place.  Once a node's vjps have run,
+        its `.grad` and vjps are dropped, and with them the activations the
+        vjps hold, so memory frees as the pass goes.  A released graph cannot
+        run backward again: a second call, or a backward through a value
+        computed from a released one, raises before touching any gradient.
+        Leaf gradients add up over graphs.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.shape}")
+        if not self.requires_grad:
+            raise RuntimeError(
+                "backward needs a root that depends on a tensor requiring a "
+                "gradient; this one was built under no_grad or from constants")
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -218,7 +223,7 @@ class Tensor:
 
     def sum(self, axis=None):
         return Tensor._from_op(self.data.sum(axis=axis), ((self, lambda g: np.broadcast_to(
-            g if axis is None else np.expand_dims(g, axis), self.data.shape).copy()),))
+            g if axis is None else np.expand_dims(g, axis), self.data.shape)),))
 
     def mean(self, axis: int | None = None):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -597,7 +602,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     for p in params:
         p.grad = None
     f().backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
     worst = 0.0
     for p, ana in zip(params, analytic):
         flat = p.data.reshape(-1)

@@ -83,8 +83,9 @@ class Adam:
 
 
 def clip_gradients(named_params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
-    Returns the pre-clip norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm,
+    rebinding each `.grad` (gradients may share memory).  Returns the
+    pre-clip norm."""
     total = 0.0
     for _, p in named_params:
         if p.grad is not None:
@@ -94,7 +95,7 @@ def clip_gradients(named_params, max_norm: float) -> float:
         scale = max_norm / norm
         for _, p in named_params:
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale
     return norm
 
 
@@ -125,8 +126,9 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (entries: name -> float32 array, metadata:
     key -> text as written).
 
-    A file cut short anywhere, or with bytes after its metadata block, is
-    rejected with its path."""
+    A file cut short anywhere, with bytes after its metadata block, or
+    with an entry name or metadata that is not UTF-8, is rejected with its
+    path."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
@@ -144,10 +146,16 @@ def load_checkpoint(path):
         offset += n_bytes
         return view[offset - n_bytes:offset]
 
+    def take_text(n_bytes: int, what: str) -> str:
+        try:
+            return bytes(take(n_bytes)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {what} is not UTF-8 ({exc.reason})") from None
+
     entries = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = take_text(name_len, "entry name")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
@@ -155,7 +163,7 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: duplicate entry {name!r}")
         entries[name] = arr.reshape(shape).copy()
     (meta_len,) = struct.unpack("<I", take(4))
-    meta_text = bytes(take(meta_len)).decode("utf-8")
+    meta_text = take_text(meta_len, "metadata")
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} bytes after the metadata")
     metadata = {}
@@ -287,8 +295,9 @@ def final_checkpoints(directory, window: int = 10) -> list:
     epoch."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    names = sorted(n for n in os.listdir(directory) if _EPOCH_NAME.fullmatch(n))
-    return [os.path.join(directory, n) for n in names[-window:]]
+    by_epoch = sorted((int(m[1]), m[0]) for m in map(_EPOCH_NAME.fullmatch,
+                                                     os.listdir(directory)) if m)
+    return [os.path.join(directory, n) for _, n in by_epoch[-window:]]
 
 
 # -- the epoch loop -----------------------------------------------------------

@@ -5,7 +5,9 @@ the band helpers and relative attention are checked on; `band_gather` and
 `band_sum` make the two band helpers graph ops of their own, as the
 attention core used them before it became one op; `composite_weighted_sum`
 is the DLCL layer mix built from general ops, with `stack` as one of them,
-as it was before `weighted_sum` became one op; `greedy_decode` is the
+as it was before `weighted_sum` became one op; `retaining_backward` is the
+graph engine without graph release, and, with `zero_fill`, with the
+accumulator it had before gradients became values; `greedy_decode` is the
 decoder beam search must equal at beam 1; `edit_distance`,
 `edit_accuracy` and `token_accuracy` score the toy task and the CTC branch
 in the acceptance suite.  The program itself scores with BLEU only.
@@ -49,6 +51,39 @@ def composite_weighted_sum(xs: list, w: Tensor) -> Tensor:
     """sum_i w[i] * xs[i] as stack, scale and sum over the stacked axis."""
     n = len(xs)
     return (stack(xs) * w.reshape(n, *(1,) * xs[0].ndim)).sum(axis=0)
+
+
+def retaining_backward(root: Tensor, zero_fill: bool = False) -> dict:
+    """`Tensor.backward` as it was before it released graphs: the same
+    traversal and accumulation, with every node keeping its gradient and
+    vjps.  Returns {id(tensor): gradient} for every tensor the pass reached,
+    and leaves `.grad` alone.  With `zero_fill`, each gradient starts as
+    zeros in the layout of the tensor's data and every share is added into
+    it in place, as the engine accumulated before it kept the first share
+    as given."""
+    topo, visited, pending = [], set(), [(root, False)]
+    while pending:
+        node, expanded = pending.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            pending.append((node, True))
+            pending.extend((p, False) for p, _ in node._vjps if id(p) not in visited)
+    grads = {}
+
+    def accum(t: Tensor, g: np.ndarray):
+        if zero_fill:
+            grads.setdefault(id(t), np.zeros_like(t.data))
+            grads[id(t)] += g
+        else:
+            grads[id(t)] = g if id(t) not in grads else grads[id(t)] + g
+
+    accum(root, np.ones_like(root.data))
+    for node in reversed(topo):
+        for p, vjp in node._vjps:
+            accum(p, vjp(grads[id(node)]))
+    return grads
 
 
 def greedy_decode(models: list, max_len: int) -> Hypothesis:

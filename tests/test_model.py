@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import (band_gather, band_sum, composite_weighted_sum,
-                     relative_position_index)
+                     relative_position_index, retaining_backward)
 from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DecoderLayerCache,
                           DlclCombiner, Downsampler, EncoderOutput,
                           FeedForward, MemoryCache, ModelConfig,
                           MultiHeadAttention, SelfAttentionCache, SpeechTranslator,
-                          TransformerDecoderLayer, TransformerEncoderLayer,
+                          TransformerDecoderLayer, TransformerEncoderLayer, VARIANTS,
                           _EncoderStack, add_absolute_positions, causal_mask,
                           downsampled_length, sinusoidal_positions)
 from tinyst.rng import RngStream
@@ -369,11 +369,11 @@ class TestFusedAttention:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def training_step_peak(cfg: ModelConfig, batch: int, frames: int,
-                       length: int) -> int:
-    """The tracemalloc peak, in bytes, of one training step (dropout on,
-    forward, CE and CTC, backward) on random features and targets of
-    `length` tokens."""
+def training_step(cfg: ModelConfig, batch: int, frames: int, length: int) -> tuple:
+    """A model and the loss of one of its training steps (dropout on, CE and
+    CTC) on random features and targets of `length` tokens, as (model,
+    loss), where each call of loss() runs the forward pass afresh from the
+    same seeds."""
     from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
 
     model = SpeechTranslator(cfg, RngStream(1))
@@ -383,14 +383,26 @@ def training_step_peak(cfg: ModelConfig, batch: int, frames: int,
     prefix = np.concatenate([np.full((batch, 1), BOS_ID), tokens], axis=1)
     targets = np.concatenate([tokens, np.full((batch, 1), EOS_ID)], axis=1)
     t_out = downsampled_length(frames)
-    tracemalloc.start()
-    try:
+
+    def loss():
         logits, enc = model.forward(feats, prefix, rng=RngStream(3))
         ce = label_smoothed_ce(logits.reshape(-1, cfg.vocab_size),
                                targets.reshape(-1))
         ctc = ctc_loss_batch(enc.ctc_logits.log_softmax(axis=-1),
                              [list(t[:t_out // 2]) for t in tokens]).mean()
-        multitask_loss(ce, ctc, 0.3).backward()
+        return multitask_loss(ce, ctc, 0.3)
+
+    return model, loss
+
+
+def training_step_peak(cfg: ModelConfig, batch: int, frames: int,
+                       length: int) -> int:
+    """The tracemalloc peak, in bytes, of one `training_step`'s forward and
+    backward."""
+    _, loss = training_step(cfg, batch, frames, length)
+    tracemalloc.start()
+    try:
+        loss().backward()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -416,6 +428,35 @@ class TestTrainingStepMemory:
                           dec_layers=2, hidden=64, heads=4, ffn=256)
         peak = training_step_peak(cfg, batch=37, frames=48, length=12)
         assert peak < 74.5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+class TestGradientsAsValues:
+    # The toy and long benchmark shapes, each variant at the layer counts of
+    # its workload (sate with 2 acoustic layers).  Keeping a first gradient
+    # as given hands BLAS the layout its vjp produced, so gradients agree
+    # with the zero-fill accumulator to rounding, and losses bit for bit.
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("batch, frames, length, enc_layers, dec_layers", [
+        (37, 48, 12, 4, 2), (1, 1050, 100, 3, 1)], ids=["toy", "long"])
+    def test_training_step_matches_the_zero_fill_engine(
+            self, variant, batch, frames, length, enc_layers, dec_layers):
+        cfg = ModelConfig(vocab_size=60, variant=variant, enc_layers=enc_layers,
+                          dec_layers=dec_layers, acoustic_layers=2, hidden=64,
+                          heads=4, ffn=256)
+        model, loss = training_step(cfg, batch, frames, length)
+        got = loss()
+        got.backward()
+        want = loss()
+        reference = retaining_backward(want, zero_fill=True)
+        assert got.data.tobytes() == want.data.tobytes()
+        top = max(np.max(np.abs(reference[id(p)])) for p in model.parameters())
+        for name, p in model.named_parameters():
+            ref = reference[id(p)]
+            # A key bias adds one score to every key of a query, which the
+            # softmax cancels: its exact gradient is 0, and both engines give
+            # rounding noise, checked against the step's largest entry.
+            scale = top if name.endswith("wk.bias") else np.max(np.abs(ref))
+            assert np.max(np.abs(p.grad - ref)) <= 1e-12 * scale, name
 
 
 class TestTransformerLayer:

@@ -67,6 +67,37 @@ def test_only_the_graph_engine_accumulates_gradients():
     assert callers == {"tensor.Tensor.backward"}, sorted(callers)
 
 
+def _writes_into_grad(target: ast.expr, augmented: bool) -> bool:
+    """Whether an assignment to `target` writes into a `.grad` array: an
+    augmented assignment to `.grad` itself, or any assignment to a subscript
+    of it."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_into_grad(t, augmented) for t in target.elts)
+    subscripted = isinstance(target, ast.Subscript)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return (augmented or subscripted) and isinstance(target, ast.Attribute) \
+        and target.attr == "grad"
+
+
+def test_no_gradient_is_written_in_place():
+    # Backward keeps a first gradient as given, so one array may be the
+    # gradient of several tensors: `.grad` is rebound, never written into.
+    writes = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            augmented = isinstance(node, ast.AugAssign)
+            if any(_writes_into_grad(t, augmented) for t in targets):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert not writes, f"writes into a .grad array: {writes}"
+
+
 def _record_ops(monkeypatch) -> set:
     """Patch `Tensor._from_op` to add the op behind each recorded graph node
     to the returned set: the function that defines the node's first kept

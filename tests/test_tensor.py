@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from oracles import band_gather, band_sum, relative_position_index
+from oracles import (band_gather, band_sum, relative_position_index,
+                     retaining_backward)
 from tinyst import tensor as T
 from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
 from tinyst.model import ModelConfig, SpeechTranslator, causal_mask
@@ -206,30 +207,6 @@ class TestConvShapes:
             assert h2[0].shape[0] == -(-(-(-t // 2)) // 2)
 
 
-def retaining_backward(root) -> dict:
-    """The graph engine as it was before it released graphs, kept as the
-    reference: the same traversal and accumulation, with every node keeping
-    its gradient and vjps.  Returns {id(tensor): gradient} for every tensor
-    the pass reached, and leaves `.grad` alone."""
-    topo, visited, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-        elif id(node) not in visited:
-            visited.add(id(node))
-            stack.append((node, True))
-            stack.extend((p, False) for p, _ in node._vjps if id(p) not in visited)
-    grads = {id(root): np.zeros_like(root.data)}
-    grads[id(root)] += np.ones_like(root.data)
-    for node in reversed(topo):
-        for p, vjp in node._vjps:
-            if id(p) not in grads:
-                grads[id(p)] = np.zeros_like(p.data)
-            grads[id(p)] += vjp(grads[id(node)])
-    return grads
-
-
 class TestBackward:
     def test_diamond_graph_accumulates(self):
         x = Tensor(3.0, requires_grad=True)
@@ -266,6 +243,30 @@ class TestBackward:
         y = x[idx].sum()
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0, 0.0, 2.0, 0.0, 1.0])
+
+    def test_root_that_tracks_nothing_raises_before_any_gradient(self):
+        # Otherwise the root's gradient is set to 1, every parameter's stays
+        # None, and an optimizer step after it silently does nothing.
+        x = Tensor(2.0, requires_grad=True)
+        with T.no_grad():
+            untracked = x * x
+        for root in (untracked, Tensor(3.0) * 2.0, Tensor(1.0)):
+            with pytest.raises(RuntimeError, match="no_grad or from constants"):
+                root.backward()
+            assert root.grad is None
+        assert x.grad is None
+
+    def test_a_shared_first_gradient_is_never_written(self):
+        # The add node hands one array to both s and a; a's second share,
+        # through s, must make a new sum, not add into what b also receives.
+        rng = np.random.default_rng(26)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = rng.normal(size=(3, 4))
+        s = a + b
+        ((s + a) * c).sum().backward()
+        np.testing.assert_array_equal(a.grad, 2.0 * c)
+        np.testing.assert_array_equal(b.grad, c)
 
     def test_second_backward_raises_and_leaves_gradients(self):
         # y = (3x)^2 at x = 2: dy/dx = 36, and a refused second pass leaves

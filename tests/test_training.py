@@ -188,6 +188,33 @@ class TestClip:
         np.testing.assert_array_equal(a.grad, [100.0])
 
 
+class TestSharedGradients:
+    def test_clip_and_adam_scale_and_update_each_parameter_once(self):
+        # The leaves of a same-shape add receive one gradient array.  Clipping
+        # and Adam must treat them as two gradients: the same step on
+        # unshared copies gives the same bits.
+        c = np.array([3.0, -4.0, 12.0])
+        shared = [Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True),
+                  Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)]
+        apart = [Tensor(p.data.copy(), requires_grad=True) for p in shared]
+        ((shared[0] + shared[1]) * c).sum().backward()
+        assert shared[0].grad is shared[1].grad
+        for p in apart:
+            p.grad = c.copy()
+        steps = []
+        for params in (shared, apart):
+            named = [("a", params[0]), ("b", params[1])]
+            assert clip_gradients(named, max_norm=1.0) == pytest.approx(13.0 * 2 ** 0.5)
+            opt = Adam(named)
+            opt.step(0.1)
+            steps.append(([p.grad for p in params], [p.data for p in params],
+                          opt.m, opt.v))
+        np.testing.assert_allclose(apart[0].grad, c / (13.0 * 2 ** 0.5), rtol=1e-15)
+        for got, want in zip(*steps):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
 class TestCheckpointIO:
     def test_roundtrip_shapes_and_metadata(self, tmp_path):
         rng = RngStream(2)
@@ -238,6 +265,18 @@ class TestCheckpointIO:
         save_checkpoint(path, [("w", np.ones(2))], {"step": 1})
         path.write_bytes(path.read_bytes() + b"\n")
         with pytest.raises(ValueError, match="long.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["entry name", "metadata"])
+    def test_text_that_is_not_utf8_is_rejected_with_the_path(self, tmp_path, where):
+        path = tmp_path / "flipped.ckpt"
+        save_checkpoint(path, [("w", np.ones(2))], {"step": 1})
+        data = bytearray(path.read_bytes())
+        # The entry name starts after the 12-byte header and its 2-byte
+        # length; the metadata block ends the file.
+        data[14 if where == "entry name" else -2] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"flipped.ckpt: {where} is not UTF-8"):
             load_checkpoint(path)
 
     def test_rejects_duplicate_entries(self, tmp_path):
@@ -441,6 +480,14 @@ class TestAveraging:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="window"):
                 final_checkpoints(tmp_path, window=bad)
+
+    def test_final_checkpoints_by_epoch_number_past_four_digits(self, tmp_path):
+        # As text, epoch10000.ckpt sorts before epoch9998.ckpt.
+        for e in (9998, 9999, 10000):
+            (tmp_path / f"epoch{e:04d}.ckpt").write_bytes(b"x")
+        names = [p.split("/")[-1] for p in final_checkpoints(tmp_path, window=2)]
+        assert names == ["epoch9999.ckpt", "epoch10000.ckpt"]
+        assert final_checkpoints(tmp_path, window=1)[0].endswith("epoch10000.ckpt")
 
 
 def _toy_samples(n=10, seed=3):
