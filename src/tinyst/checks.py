@@ -29,6 +29,7 @@ from .tensor import (
     glu,
     grad_check,
     layer_norm,
+    linear,
     weighted_sum,
 )
 from .text import BOS_ID, EOS_ID
@@ -63,8 +64,10 @@ def op_gradcheck_sweep(seed: int = 0) -> dict:
     m1 = _param(rng, 3, 4)
     m2 = _param(rng, 4, 6)
     m3 = _param(rng, 2, 6, 3)
-    check("matmul", lambda: (m1 @ m2).sum(), [m1, m2])
-    check("matmul_batched", lambda: (m3 @ (m1 @ m2)).sum(), [m1, m2, m3])
+    # A child stream leaves the draws of the probes below as they are.
+    lb = _param(rng.child("linear_bias"), 6)
+    check("linear", lambda: _sum_sq(linear(m1, m2, lb)), [m1, m2, lb])
+    check("linear_batched", lambda: _sum_sq(linear(m3, m1)), [m3, m1])
 
     x = _param(rng, 3, 7)
     w_x = Tensor(rng.normal(0.0, 1.0, size=(3, 7)))  # fixed mixing weights
@@ -80,8 +83,8 @@ def op_gradcheck_sweep(seed: int = 0) -> dict:
     check("softmax", lambda: (x.softmax(axis=-1) * w_x).sum(), [x])
     check("log_softmax", lambda: (x.log_softmax(axis=-1) * w_x).sum(), [x])
 
-    check("reshape", lambda: (x.reshape(7, 3) @ m1).sum(), [x, m1])
-    check("transpose", lambda: (x.transpose() @ m1).sum(), [x, m1])
+    check("reshape", lambda: linear(x.reshape(7, 3), m1).sum(), [x, m1])
+    check("transpose", lambda: linear(x.transpose(), m1).sum(), [x, m1])
     check("getitem", lambda: (x[1:, ::2] * 2.0).sum()
           + x[(np.array([0, 2]), np.array([1, 1]))].sum(), [x])
     mix = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)

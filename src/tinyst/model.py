@@ -38,7 +38,7 @@ import numpy as np
 
 from .rng import RngStream
 from .tensor import (LOG_ZERO, Dropout, Tensor, attention, depthwise_conv1d,
-                     glu, layer_norm, no_dropout, weighted_sum)
+                     glu, layer_norm, linear, no_dropout, weighted_sum)
 from .tensor import conv1d as conv1d_op
 from .text import BOS_ID
 
@@ -137,13 +137,15 @@ def xavier_uniform(rng: RngStream, shape, fan_in: int, fan_out: int) -> np.ndarr
 
 
 class Linear(Module):
+    """A position-wise projection x @ weight + bias, one `linear` node."""
+
     def __init__(self, d_in: int, d_out: int, rng: RngStream):
         self.weight = Tensor(xavier_uniform(rng, (d_in, d_out), d_in, d_out),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -261,7 +263,7 @@ class MultiHeadAttention(Module):
     Both moves use the relative shift of Transformer-XL (Dai et al. 2019),
     a reshape of a (Tq, Tq+Tk) buffer, so no index arrays are built or kept.
 
-    The projections are ordinary ops; everything from the scores to the
+    Each projection is one `linear` node; everything from the scores to the
     per-head context (q.k, the relative band, the scale, the causal mask,
     the softmax, dropout, the weighted values) is one node of the fused
     `attention` op.  Its backward is derived by hand, with the softmax
@@ -432,7 +434,8 @@ def downsampled_length(t: int) -> int:
 class Adaptor(Module):
     """Bridge from acoustic to textual encoding: position-wise linear, LN,
     ReLU; optionally adds the CTC posterior expectation of the embedding
-    table so the textual stack sees token-like inputs."""
+    table, `linear(softmax(ctc_logits), embed_table)` with no bias, so the
+    textual stack sees token-like inputs."""
 
     def __init__(self, hidden: int, rng: RngStream, mix_embeddings: bool):
         self.lin = Linear(hidden, hidden, rng.child("lin"))
@@ -443,7 +446,7 @@ class Adaptor(Module):
                  embed_table: Tensor | None) -> Tensor:
         h = self.norm(self.lin(x)).relu()
         if self.mix_embeddings:
-            h = h + ctc_logits.softmax(axis=-1) @ embed_table
+            h = h + linear(ctc_logits.softmax(axis=-1), embed_table)
         return h
 
 

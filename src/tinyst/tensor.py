@@ -1,14 +1,15 @@
 """N-dimensional float64 tensors with reverse-mode automatic differentiation.
 
 The module defines the ops that the model, the losses and the
-gradient-check probes use, and no others; `attention`, `weighted_sum` (the
-DLCL layer mix) and the call of a :class:`Dropout` each do one model job as
-one node.  Every model, loss and regularizer in this package is composed
-from them, except the CTC loss, a node of its own in :mod:`tinyst.losses`;
-one finite-difference checker (:func:`grad_check`) exercises both, and so
-the whole system end to end.  Values and gradients are immutable after
-creation; the graph is dynamic, built afresh on every forward pass and
-released by the backward pass that runs through it.
+gradient-check probes use, and no others; `linear` (a position-wise
+projection), `attention`, `weighted_sum` (the DLCL layer mix) and the call
+of a :class:`Dropout` each do one model job as one node.  Every model, loss
+and regularizer in this package is composed from them, except the CTC loss,
+a node of its own in :mod:`tinyst.losses`; one finite-difference checker
+(:func:`grad_check`) exercises both, and so the whole system end to end.
+Values and gradients are immutable after creation; the graph is dynamic,
+built afresh on every forward pass and released by the backward pass that
+runs through it.
 
 An op computes its result in numpy and returns
 ``Tensor._from_op(result, ((input, vjp), ...))``: one vector-Jacobian
@@ -190,19 +191,6 @@ class Tensor:
     def __neg__(self):
         return self * -1.0
 
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
-        try:
-            out = a @ b
-        except ValueError as exc:
-            raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}") from exc
-        return Tensor._from_op(out, (
-            (self, lambda g: _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)),
-            (other, lambda g: _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))))
-
     # -- elementwise nonlinearities ------------------------------------------
 
     def sigmoid(self):
@@ -288,6 +276,32 @@ def weighted_sum(xs: Sequence[Tensor], w: Tensor) -> Tensor:
     return Tensor._from_op(out, tuple(
         (x, lambda g, i=i: g * w.data[i]) for i, x in enumerate(xs)) + (
         (w, lambda g: np.array([(g * x.data).sum() for x in xs])),))
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight + bias over the last axis of x, as one node.
+
+    x: (..., d_in); weight: (d_in, d_out); bias: (d_out,) or None.  The
+    forward is numpy's matmul, one product per leading index, so the rows
+    of a decoder step (one position per hypothesis) get the same bits at
+    any beam width.  The vjps flatten the leading axes into one axis of N
+    positions, so each is one GEMM: the weight gradient contracts over all
+    N positions at once, not per batch row.
+    """
+    if weight.data.ndim != 2 or x.data.shape[-1:] != weight.data.shape[:1]:
+        raise ValueError(f"linear shape mismatch: input {x.data.shape} "
+                         f"vs weight {weight.data.shape}")
+    d_in, d_out = weight.data.shape
+    if bias is not None and bias.data.shape != (d_out,):
+        raise ValueError(f"linear bias must have shape ({d_out},) for weight "
+                         f"{weight.data.shape}, got {bias.data.shape}")
+    out = x.data @ weight.data
+    vjps = ((x, lambda g: (g.reshape(-1, d_out) @ weight.data.T).reshape(x.data.shape)),
+            (weight, lambda g: x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)))
+    if bias is not None:
+        out += bias.data
+        vjps += ((bias, lambda g: g.reshape(-1, d_out).sum(axis=0)),)
+    return Tensor._from_op(out, vjps)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

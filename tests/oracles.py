@@ -1,5 +1,8 @@
 """Reference implementations the tests check the program against.
 
+`matmul` is the broadcasting matrix product that the projections and the
+attention core were built from before `linear` and `attention` became one
+op each, and `composite_linear` is a projection built from it;
 `relative_position_index` defines the clipped relative-position band that
 the band helpers and relative attention are checked on; `band_gather` and
 `band_sum` make the two band helpers graph ops of their own, as the
@@ -16,8 +19,25 @@ in the acceptance suite.  The program itself scores with BLEU only.
 import numpy as np
 
 from tinyst.decoding import Hypothesis, _step
-from tinyst.tensor import Tensor, _gather_band, _sum_band, no_grad
+from tinyst.tensor import Tensor, _gather_band, _sum_band, _unbroadcast, no_grad
 from tinyst.text import BOS_ID, EOS_ID
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over the last two axes, broadcasting the leading ones, as a
+    graph op; each vjp sums over the axes broadcasting added."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
+    return Tensor._from_op(a.data @ b.data, (
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))))
+
+
+def composite_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """`linear` as a matmul node and a bias-add node: its weight gradient
+    is one product per batch row, summed."""
+    out = matmul(x, weight)
+    return out if bias is None else out + bias
 
 
 def relative_position_index(t_query: int, t_key: int, max_rel: int) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Tests for the architecture ladder: blocks, positions, variants."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import (band_gather, band_sum, composite_weighted_sum,
-                     relative_position_index, retaining_backward)
+from oracles import (band_gather, band_sum, composite_linear, composite_weighted_sum,
+                     matmul, relative_position_index, retaining_backward)
+from tinyst.decoding import DecodeConfig, beam_search, encode_for_decoding
 from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DecoderLayerCache,
                           DlclCombiner, Downsampler, EncoderOutput,
                           FeedForward, MemoryCache, ModelConfig,
@@ -15,8 +20,8 @@ from tinyst.model import (Adaptor, ConformerBlock, ConvModule, DecoderLayerCache
                           _EncoderStack, add_absolute_positions, causal_mask,
                           downsampled_length, sinusoidal_positions)
 from tinyst.rng import RngStream
-from tinyst.tensor import (Dropout, Tensor, grad_check, layer_norm, no_dropout,
-                           no_grad)
+from tinyst.tensor import (Dropout, Tensor, grad_check, layer_norm, linear,
+                           no_dropout, no_grad)
 from tinyst.text import BOS_ID, EOS_ID
 
 
@@ -178,8 +183,8 @@ def reference_relative_attention(attn, query, kv, causal=False, drop=no_dropout)
     idx = relative_position_index(tq, tk, attn.max_rel)
     rel_k = attn.rel_k[idx]  # (Tq, Tk, d_head)
     qt = q.transpose(2, 0, 1, 3).reshape(tq, b * attn.heads, 1, attn.d_head)
-    srel = qt @ rel_k.transpose(0, 2, 1).reshape(tq, 1, attn.d_head, tk)
-    scores = q @ k.transpose(0, 1, 3, 2) \
+    srel = matmul(qt, rel_k.transpose(0, 2, 1).reshape(tq, 1, attn.d_head, tk))
+    scores = matmul(q, k.transpose(0, 1, 3, 2)) \
         + srel.reshape(tq, b, attn.heads, tk).transpose(1, 2, 0, 3)
     scores = scores * (attn.d_head ** -0.5)
     if causal:
@@ -187,8 +192,8 @@ def reference_relative_attention(attn, query, kv, causal=False, drop=no_dropout)
     weights = drop(scores.softmax(axis=-1))
     rel_v = attn.rel_v[idx]  # (Tq, Tk, d_head)
     wt = weights.transpose(2, 0, 1, 3).reshape(tq, b * attn.heads, 1, tk)
-    crel = wt @ rel_v.reshape(tq, 1, tk, attn.d_head)
-    ctx = weights @ v + crel.reshape(tq, b, attn.heads, attn.d_head).transpose(1, 2, 0, 3)
+    crel = matmul(wt, rel_v.reshape(tq, 1, tk, attn.d_head))
+    ctx = matmul(weights, v) + crel.reshape(tq, b, attn.heads, attn.d_head).transpose(1, 2, 0, 3)
     return attn.wo(ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden))
 
 
@@ -202,16 +207,16 @@ def composite_attention(attn, query, kv, causal=False, drop=no_dropout,
     k, v = (attn._project_kv(kv) if cache is None
             else cache.keys_values(attn._project_kv, kv))
     tk = k.shape[2]
-    scores = q @ k.transpose(0, 1, 3, 2)
+    scores = matmul(q, k.transpose(0, 1, 3, 2))
     if attn.max_rel is not None:
-        scores = scores + band_gather(q @ attn.rel_k.transpose(), tk)
+        scores = scores + band_gather(matmul(q, attn.rel_k.transpose()), tk)
     scores = scores * (attn.d_head ** -0.5)
     if causal:
         scores = scores + Tensor(causal_mask(tq, tk))
     weights = drop(scores.softmax(axis=-1))
-    ctx = weights @ v
+    ctx = matmul(weights, v)
     if attn.max_rel is not None:
-        ctx = ctx + band_sum(weights, attn.max_rel) @ attn.rel_v
+        ctx = ctx + matmul(band_sum(weights, attn.max_rel), attn.rel_v)
     return attn.wo(ctx.transpose(0, 2, 1, 3).reshape(b, tq, hidden))
 
 
@@ -430,33 +435,130 @@ class TestTrainingStepMemory:
         assert peak < 74.5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def benchmark_cfg(variant: str, enc_layers: int, dec_layers: int) -> ModelConfig:
+    """A benchmark workload's model (sate with 2 acoustic layers and the
+    adaptor's embedding mix on)."""
+    return ModelConfig(vocab_size=60, variant=variant, enc_layers=enc_layers,
+                       dec_layers=dec_layers, acoustic_layers=2, hidden=64,
+                       heads=4, ffn=256, adaptor_mix_embeddings=True)
+
+
+def step_gradients(model) -> dict:
+    return {name: p.grad for name, p in model.named_parameters()}
+
+
+def assert_step_gradients_match(got: dict, want: dict):
+    """Each parameter gradient, keyed by name, is within 1e-12 of the
+    reference relative to the reference's largest entry.  A key bias adds
+    one score to every key of a query, which the softmax cancels: its exact
+    gradient is 0, and both sides give rounding noise, checked against the
+    step's largest entry."""
+    assert got.keys() == want.keys()
+    top = max(np.max(np.abs(ref)) for ref in want.values())
+    for name, ref in want.items():
+        scale = top if name.endswith("wk.bias") else np.max(np.abs(ref))
+        assert np.max(np.abs(got[name] - ref)) <= 1e-12 * scale, name
+
+
+# The toy and long benchmark shapes, each variant at the layer counts of its
+# workload.
+BENCHMARK_STEPS = pytest.mark.parametrize(
+    "batch, frames, length, enc_layers, dec_layers",
+    [(37, 48, 12, 4, 2), (1, 1050, 100, 3, 1)], ids=["toy", "long"])
+
+
 class TestGradientsAsValues:
-    # The toy and long benchmark shapes, each variant at the layer counts of
-    # its workload (sate with 2 acoustic layers).  Keeping a first gradient
-    # as given hands BLAS the layout its vjp produced, so gradients agree
-    # with the zero-fill accumulator to rounding, and losses bit for bit.
+    # Keeping a first gradient as given hands BLAS the layout its vjp
+    # produced, so gradients agree with the zero-fill accumulator to
+    # rounding, and losses bit for bit.
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("batch, frames, length, enc_layers, dec_layers", [
-        (37, 48, 12, 4, 2), (1, 1050, 100, 3, 1)], ids=["toy", "long"])
+    @BENCHMARK_STEPS
     def test_training_step_matches_the_zero_fill_engine(
             self, variant, batch, frames, length, enc_layers, dec_layers):
-        cfg = ModelConfig(vocab_size=60, variant=variant, enc_layers=enc_layers,
-                          dec_layers=dec_layers, acoustic_layers=2, hidden=64,
-                          heads=4, ffn=256)
-        model, loss = training_step(cfg, batch, frames, length)
+        model, loss = training_step(benchmark_cfg(variant, enc_layers, dec_layers),
+                                    batch, frames, length)
         got = loss()
         got.backward()
         want = loss()
         reference = retaining_backward(want, zero_fill=True)
         assert got.data.tobytes() == want.data.tobytes()
-        top = max(np.max(np.abs(reference[id(p)])) for p in model.parameters())
-        for name, p in model.named_parameters():
-            ref = reference[id(p)]
-            # A key bias adds one score to every key of a query, which the
-            # softmax cancels: its exact gradient is 0, and both engines give
-            # rounding noise, checked against the step's largest entry.
-            scale = top if name.endswith("wk.bias") else np.max(np.abs(ref))
-            assert np.max(np.abs(p.grad - ref)) <= 1e-12 * scale, name
+        assert_step_gradients_match(
+            step_gradients(model),
+            {name: reference[id(p)] for name, p in model.named_parameters()})
+
+
+# One toy-benchmark training step whose parameter gradients are saved to the
+# .npz file named by the first argument.
+TOY_STEP_SCRIPT = """
+import sys
+import numpy as np
+from test_model import benchmark_cfg, step_gradients, training_step
+model, loss = training_step(benchmark_cfg("baseline", 4, 2), 37, 48, 12)
+loss().backward()
+np.savez(sys.argv[1], **step_gradients(model))
+"""
+
+
+class TestLinear:
+    """The `linear` node against the matmul and bias-add nodes it replaced
+    (`oracles.composite_linear`).  Its forward is the same product, so
+    losses and decodes match bit for bit, and its vjps run one GEMM (one
+    sum for the bias) over all positions at once, which changes only the
+    rounding of the gradients."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @BENCHMARK_STEPS
+    def test_training_step_matches_composite(
+            self, variant, batch, frames, length, enc_layers, dec_layers,
+            monkeypatch):
+        model, loss = training_step(benchmark_cfg(variant, enc_layers, dec_layers),
+                                    batch, frames, length)
+        steps = []
+        for projection in (linear, composite_linear):
+            monkeypatch.setattr("tinyst.model.linear", projection)
+            model.zero_grad()
+            value = loss()
+            value.backward()
+            steps.append((value.data.tobytes(), step_gradients(model)))
+        (got_loss, got), (want_loss, want) = steps
+        assert got_loss == want_loss
+        assert_step_gradients_match(got, want)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("frames, enc_layers, dec_layers, max_len_factor", [
+        (48, 4, 2, 1.0), (1050, 3, 1, 0.4)], ids=["toy", "long"])
+    def test_beam_search_matches_composite(
+            self, variant, frames, enc_layers, dec_layers, max_len_factor,
+            monkeypatch):
+        model = SpeechTranslator(benchmark_cfg(variant, enc_layers, dec_layers),
+                                 RngStream(1))
+        feats = np.random.default_rng(2).normal(size=(frames, 80))
+        cfg = DecodeConfig(beam=5, max_len_factor=max_len_factor)
+        runs = []
+        for projection in (linear, composite_linear):
+            monkeypatch.setattr("tinyst.model.linear", projection)
+            runs.append(beam_search([(model, encode_for_decoding(model, feats))], cfg))
+        got, want = runs
+        assert got == want
+
+    def test_gradients_agree_across_blas_thread_counts(self, tmp_path):
+        # The weight GEMM contracts over all B*T positions, which is the
+        # contraction OpenBLAS splits across threads: the thread count may
+        # move only the last bits.
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests)]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        grads = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(path))
+            subprocess.run([sys.executable, "-c", TOY_STEP_SCRIPT, str(out)],
+                           env=env, check=True)
+            with np.load(out) as saved:
+                grads.append(dict(saved))
+        assert_step_gradients_match(*grads)
 
 
 class TestTransformerLayer:

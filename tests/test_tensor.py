@@ -16,24 +16,44 @@ from tinyst.text import BOS_ID, EOS_ID
 
 
 class TestForwardValues:
-    def test_matmul_known_product(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_allclose((a @ b).data, [[19.0, 22.0], [43.0, 50.0]])
+    def test_linear_known_product(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        w = Tensor([[5.0, 6.0], [7.0, 8.0]])
+        np.testing.assert_allclose(T.linear(x, w).data, [[19.0, 22.0], [43.0, 50.0]])
+        np.testing.assert_allclose(T.linear(x, w, Tensor([0.5, -1.0])).data,
+                                   [[19.5, 21.0], [43.5, 49.0]])
 
-    def test_matmul_batch_broadcast(self):
+    def test_linear_keeps_leading_axes(self):
         rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=(4, 3, 5)))
-        b = Tensor(rng.normal(size=(5, 2)))
-        out = a @ b
+        x = Tensor(rng.normal(size=(4, 3, 5)))
+        w = Tensor(rng.normal(size=(5, 2)))
+        b = Tensor(rng.normal(size=2))
+        out = T.linear(x, w, b)
         assert out.shape == (4, 3, 2)
-        np.testing.assert_allclose(out.data, a.data @ b.data)
+        np.testing.assert_allclose(out.data, x.data @ w.data + b.data, atol=1e-12)
 
-    def test_matmul_shape_error_names_shapes(self):
-        a = Tensor(np.zeros((2, 3)))
-        b = Tensor(np.zeros((4, 2)))
+    def test_linear_rows_do_not_depend_on_how_many_share_the_call(self):
+        # Beam search feeds one position per hypothesis; a hypothesis's
+        # score must not depend on the beam width.  One GEMM over all rows
+        # (a GEMV for one row) fails this in the last bits.
+        rng = np.random.default_rng(5)
+        w, b = Tensor(rng.normal(size=(64, 256))), Tensor(rng.normal(size=256))
+        x = rng.normal(size=(5, 1, 64))
+        for rows in range(1, 6):
+            out = T.linear(Tensor(x[:rows]), w, b).data
+            for r in range(rows):
+                alone = T.linear(Tensor(x[r:r + 1]), w, b).data
+                assert out[r].tobytes() == alone[0].tobytes(), (rows, r)
+
+    def test_linear_shape_error_names_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
-            a @ b
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        # 192 inputs that would regroup into 3 rows of 64 by a reshape.
+        with pytest.raises(ValueError, match=r"\(2, 3, 32\).*\(64, 8\)"):
+            T.linear(Tensor(np.zeros((2, 3, 32))), Tensor(np.zeros((64, 8))))
+        with pytest.raises(ValueError, match=r"\(3,\).*\(4, 3\).*\(4,\)"):
+            T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))),
+                     Tensor(np.zeros(4)))
 
     def test_softmax_quarter_three_quarters(self):
         x = Tensor([0.0, np.log(3.0)])
@@ -339,7 +359,8 @@ OPS = {
     "add": lambda x: (x + x.transpose() + 1.5).sum(),
     "mul": lambda x: (x * x * 0.3).sum(),
     "neg": lambda x: (-x * x).sum(),
-    "matmul": lambda x: ((x @ x.transpose()) * 0.1).sum(),
+    "linear": lambda x: sum_sq(T.linear(x, x.transpose() * 0.5, x[0])),
+    "linear_batched": lambda x: sum_sq(T.linear(x.reshape(2, 2, 4), x * 0.5)),
     "sigmoid": lambda x: x.sigmoid().sum(),
     "relu": lambda x: (x.relu() * x).sum(),
     "swish": lambda x: x.swish().sum(),
@@ -348,7 +369,7 @@ OPS = {
     "sum_axis": lambda x: sum_sq(x.sum(axis=0)),
     "mean": lambda x: (x.mean(axis=-1) * x.mean()).sum(),
     "reshape": lambda x: sum_sq(x.reshape(2, 8)),
-    "transpose": lambda x: (x.transpose() @ x).sum() * 0.1,
+    "transpose": lambda x: T.linear(x.transpose(), x).sum() * 0.1,
     "getitem": lambda x: (x[1:3, ::2] * 2.0).sum(),
     # The weights are read off x as well, so the weight vjp is checked too.
     "weighted_sum": lambda x: sum_sq(T.weighted_sum([x, x * x, x.transpose()], x[0, :3])),
