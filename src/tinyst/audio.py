@@ -166,10 +166,12 @@ def filter_utterances(entries: list) -> list:
 
 
 def save_features(path, features: np.ndarray):
-    """Write a feature matrix to the binary cache format (float32 payload)."""
+    """Write a (frames, 80) feature matrix to the binary cache format
+    (float32 payload); any other shape is refused before the file opens."""
     arr = np.ascontiguousarray(features, dtype=np.float32)
-    if arr.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != N_MELS:
+        raise ValueError(f"{path}: features must be (frames, {N_MELS}), "
+                         f"got shape {arr.shape}")
     header = struct.pack("<4sIII", FEATURE_MAGIC, FEATURE_VERSION,
                          arr.shape[0], arr.shape[1])
     with open(path, "wb") as fh:

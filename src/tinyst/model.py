@@ -137,12 +137,12 @@ def xavier_uniform(rng: RngStream, shape, fan_in: int, fan_out: int) -> np.ndarr
 
 
 class Linear(Module):
-    """A position-wise projection x @ weight + bias, one `linear` node."""
+    """A position-wise projection x @ weight [+ bias], one `linear` node."""
 
-    def __init__(self, d_in: int, d_out: int, rng: RngStream):
+    def __init__(self, d_in: int, d_out: int, rng: RngStream, bias: bool = True):
         self.weight = Tensor(xavier_uniform(rng, (d_in, d_out), d_in, d_out),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -269,6 +269,8 @@ class MultiHeadAttention(Module):
     `attention` op.  Its backward is derived by hand, with the softmax
     adjoint that FlashAttention uses (Dao et al. 2022), and besides its
     inputs it keeps only the attention weights and the boolean dropout mask.
+    The key projection has no bias: q . b adds one score to all keys of a
+    query, which the softmax cancels, so that bias could never learn.
 
     Given a cache, the keys and values come from it (see
     `SelfAttentionCache` and `MemoryCache`), and the queries are the last
@@ -281,7 +283,7 @@ class MultiHeadAttention(Module):
         self.d_head = hidden // heads
         self.max_rel = max_rel
         self.wq = Linear(hidden, hidden, rng.child("wq"))
-        self.wk = Linear(hidden, hidden, rng.child("wk"))
+        self.wk = Linear(hidden, hidden, rng.child("wk"), bias=False)
         self.wv = Linear(hidden, hidden, rng.child("wv"))
         self.wo = Linear(hidden, hidden, rng.child("wo"))
         if max_rel is not None:
@@ -393,21 +395,18 @@ class ConformerBlock(Module):
 class DlclCombiner(Module):
     """Learned combination of all preceding layers' normalized outputs.
 
-    Row r of the weight matrix mixes outputs 0..r (output 0 being the stack
-    input) and feeds layer r+1, or becomes the stack output for r == n_layers.
-    Rows start uniform at 1/(r+1); entries above the diagonal are structural
-    zeros that no forward pass ever reads.  A mix is one `weighted_sum` node.
+    Row r, a vector of r+1 weights starting at 1/(r+1), mixes outputs 0..r
+    (output 0 being the stack input) and feeds layer r+1, or becomes the
+    stack output for r == n_layers.  A mix is one `weighted_sum` node.
     """
 
     def __init__(self, n_layers: int, hidden: int):
-        w = np.zeros((n_layers + 1, n_layers + 1))
-        for r in range(n_layers + 1):
-            w[r, :r + 1] = 1.0 / (r + 1)
-        self.weights = Tensor(w, requires_grad=True)
+        self.weights = [Tensor(np.full(r + 1, 1.0 / (r + 1)), requires_grad=True)
+                        for r in range(n_layers + 1)]
         self.norms = [LayerNorm(hidden) for _ in range(n_layers + 1)]
 
     def combine(self, normed_outputs: list, row: int) -> Tensor:
-        return weighted_sum(normed_outputs[:row + 1], self.weights[row, :row + 1])
+        return weighted_sum(normed_outputs[:row + 1], self.weights[row])
 
 
 class Downsampler(Module):

@@ -1,13 +1,15 @@
 """Tests for the acoustic frontend."""
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from tinyst.audio import (N_MELS, FrontendConfig, cmvn, filter_utterances,
-                          hz_to_mel, load_features, logmel, mel_to_hz, read_wav,
-                          save_features, spec_augment, write_wav)
+from tinyst.audio import (FEATURE_MAGIC, FEATURE_VERSION, N_MELS, FrontendConfig,
+                          cmvn, filter_utterances, hz_to_mel, load_features,
+                          logmel, mel_to_hz, read_wav, save_features,
+                          spec_augment, write_wav)
 from tinyst.rng import RngStream
 from tinyst.training import TrainConfig
 
@@ -198,10 +200,19 @@ class TestFeatureCache:
 
     def test_rejects_other_channel_counts(self, tmp_path):
         p = tmp_path / "utt.feat"
-        save_features(p, np.zeros((5, 40)))
+        p.write_bytes(struct.pack("<4sIII", FEATURE_MAGIC, FEATURE_VERSION, 5, 40)
+                      + np.zeros((5, 40), "<f4").tobytes())
         with pytest.raises(ValueError, match="40 feature channels, expected 80") as exc:
             load_features(p)
         assert "utt.feat" in str(exc.value)
+
+    @pytest.mark.parametrize("shape", [(10, 40), (10, 81), (80,), (2, 10, 80)])
+    def test_save_refuses_what_load_refuses(self, tmp_path, shape):
+        p = tmp_path / "utt.feat"
+        with pytest.raises(ValueError, match=r"features must be \(frames, 80\)") as exc:
+            save_features(p, np.zeros(shape))
+        assert "utt.feat" in str(exc.value)
+        assert not p.exists()
 
 
 class TestWavIO:

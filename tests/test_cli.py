@@ -20,6 +20,8 @@ from tinyst.text import normalize_for_ctc
 from tinyst.toy import ToyTaskConfig
 from tinyst.training import TrainConfig, load_checkpoint, load_model, save_model
 
+from test_training import save_old_layout
+
 
 # A model small enough to train a step in well under a second.
 TINY_CONF = ("variant = baseline\nhidden = 8\nheads = 2\nffn = 16\n"
@@ -450,3 +452,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["decode", "finetune"])
+    def test_old_layout_checkpoint_exits_1_naming_entries(
+            self, workspace, tmp_path, capsys, command):
+        old = tmp_path / "old.ckpt"
+        save_old_layout(old, load_model(workspace["run"] / "epoch0002.ckpt")[0])
+        args = {"decode": ["--manifest", str(workspace["corpus"] / "dev.tsv"),
+                           "--out", str(tmp_path / "dev.hyp")],
+                "finetune": ["--manifest", str(workspace["prep"] / "train.tsv"),
+                             "--out", str(tmp_path / "ft"), "--epochs", "1"]}
+        code = main([command, "--checkpoint", str(old),
+                     "--subwords", str(workspace["prep"]), *args[command]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint does not match model")
+        assert err.count("\n") == 1 and "wk.bias" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ckpt"]

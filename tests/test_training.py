@@ -334,7 +334,41 @@ def _tiny_model(seed=0, vocab=15):
     return SpeechTranslator(cfg, RngStream(seed))
 
 
+def save_old_layout(path, model):
+    """Write `model` in the entry layout of checkpoints from before the key
+    projection lost its bias and each DLCL row became its own vector: a zero
+    `...wk.bias` after every `...wk.weight`, and the `...dlcl.weights.<r>`
+    rows as row r of one square `...dlcl.weights`, zero above the diagonal."""
+    params, entries = model.named_parameters(), []
+    for name, p in params:
+        stem, _, row = name.rpartition(".")
+        if stem.endswith("dlcl.weights"):
+            if row == "0":
+                n = sum(other.startswith(stem + ".") for other, _ in params)
+                entries.append((stem, np.zeros((n, n))))
+            entries[-1][1][int(row), :int(row) + 1] = p.data
+            continue
+        entries.append((name, p.data))
+        if name.endswith("wk.weight"):
+            entries.append((name[:-len("weight")] + "bias", np.zeros(p.shape[1])))
+    meta = {"step": 1, "epoch": 1, **config_metadata(model.cfg)}
+    save_checkpoint(path, entries, meta)
+
+
 class TestModelCheckpoint:
+    def test_old_layout_is_refused_naming_its_entries(self, tmp_path):
+        model = _tiny_model()
+        path = tmp_path / "old.ckpt"
+        save_old_layout(path, model)
+        names = set(load_checkpoint(path)[0])
+        assert "encoder.dlcl.weights" in names
+        assert "encoder.blocks.0.attn.wk.bias" in names
+        with pytest.raises(ValueError, match="does not match model") as exc:
+            load_model(path)
+        message = str(exc.value)
+        assert "encoder.dlcl.weights.0" in message
+        assert "dec_layers.0.cross_attn.wk.bias" in message
+
     def test_save_load_preserves_values_exactly(self, tmp_path):
         model = _tiny_model()
         path = tmp_path / "m.ckpt"
