@@ -7,7 +7,10 @@ relative to the manifest's directory.
 Batches are exact-shape: samples are grouped by identical
 (frames, target length) pairs, so features, decoder prefixes and targets are
 dense arrays with no padding and no masks.  Transcripts may differ in length
-within a batch: the CTC loss takes ragged targets.
+within a batch: the CTC loss takes ragged targets.  A batch holds its
+samples, not a stacked copy of their features: the training step stacks
+them (after SpecAugment, when it is on), so an epoch's batches add no
+second copy of the corpus.
 """
 
 from __future__ import annotations
@@ -110,14 +113,17 @@ def load_dataset(manifest_path, subwords: SubwordModel,
 
 @dataclass
 class Batch:
-    utt_ids: list
-    features: np.ndarray    # (B, T, 80)
-    src_targets: list       # B CTC label sequences, of any lengths
+    samples: list           # B samples of T frames and L target ids each
     prefix: np.ndarray      # (B, L+1) = bos + translation ids
     targets: np.ndarray     # (B, L+1) = translation ids + eos
 
+    @property
+    def src_targets(self) -> list:
+        """B CTC label sequences, of any lengths."""
+        return [s.src_ids for s in self.samples]
+
     def __len__(self):
-        return self.features.shape[0]
+        return len(self.samples)
 
 
 def drop_ctc_infeasible(samples: list) -> tuple:
@@ -156,10 +162,8 @@ def make_batches(samples: list, frame_budget: int,
 
 
 def _assemble(chunk: list) -> Batch:
-    feats = np.stack([s.features for s in chunk])
     tgt = np.array([s.tgt_ids for s in chunk], dtype=np.intp)
-    b, tlen = tgt.shape[0], tgt.shape[1]
+    b = tgt.shape[0]
     prefix = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.intp), tgt], axis=1)
     targets = np.concatenate([tgt, np.full((b, 1), EOS_ID, dtype=np.intp)], axis=1)
-    return Batch([s.utt_id for s in chunk], feats, [s.src_ids for s in chunk],
-                 prefix, targets)
+    return Batch(chunk, prefix, targets)

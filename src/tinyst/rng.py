@@ -33,6 +33,11 @@ class RngStream:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
 
+    def random(self, size=None):
+        """Uniform draws in [0, 1): the bits of uniform(0, 1, size), drawn
+        without its scale and shift."""
+        return self._gen.random(size)
+
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._gen.normal(loc, scale, size)
 

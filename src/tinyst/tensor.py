@@ -16,10 +16,16 @@ An op computes its result in numpy and returns
 product per input, in input order, where ``vjp(g)`` maps the gradient of
 the result to that input's share of it.  The op never asks whether
 gradients are wanted.  ``_from_op`` keeps the pairs whose input requires a
-gradient (none under :class:`no_grad`), and :meth:`Tensor.backward` is the
-only place that runs them and accumulates their results.  Backward runs
-each node's vjps once and then releases the node, so an op may share work
-between its vjps.
+gradient (none under :class:`no_grad`), each with the input's graph node
+in place of the input, and :meth:`Tensor.backward` is the only place that
+runs them and accumulates their results.  Backward runs each node's vjps
+once and then releases the node, so an op may share work between its vjps.
+
+The graph holds only what backward reads.  A node holds a gradient and its
+vjps, never a value, so an op result that the forward pass drops frees its
+array unless a vjp closes over it; and a vjp closes over what it reads and
+nothing else: a shape for ``+``, ``sum``, ``reshape`` and ``[]``, the other
+factor for ``*``, a boolean mask for ``relu`` and dropout.
 
 All arithmetic is 64-bit.  ``LOG_ZERO`` is used as the additive identity for
 log-space masking instead of a true -inf: it behaves like "impossible" under
@@ -69,35 +75,60 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-class Tensor:
+class _Node:
+    """A graph node: the gradient backward accumulates for one value, and
+    the (input node, vjp) pairs of the op that made it; () for a leaf,
+    None once backward has released the node.  An op result's node is one
+    of these and holds no value; a leaf is its own node, so
+    :class:`Tensor` is a node too."""
+
+    __slots__ = ("grad", "_vjps")
+
+    def __init__(self, vjps: tuple):
+        self.grad = None
+        self._vjps = vjps
+
+    def _accum(self, g: np.ndarray):
+        self.grad = g if self.grad is None else self.grad + g
+
+
+class Tensor(_Node):
     """A float64 array that records the operation which produced it.
 
     `requires_grad` marks leaves whose gradient is wanted (parameters) and
     is inherited by every value computed from them while grad mode is on.
-    `_vjps` holds a recorded node's (input, vjp) pairs: () for a leaf or an
-    untracked value, None once backward has released the node.
+    A leaf is its own graph node, with no vjps, and keeps its `.grad`.  A
+    recorded op result's `_node` is the separate node that backward walks;
+    it is None for a leaf and for an untracked value.  Nodes hold no
+    values and each vjp closes over only what it reads, so an op result's
+    array lives only while the forward pass, or a vjp that reads it, holds
+    it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_vjps", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._vjps: tuple = ()
+        self._vjps = ()
+        self._node = None
 
     @classmethod
     def _from_op(cls, data: np.ndarray, vjps: tuple):
         """The result of an op, as an ndarray (0-d results too), recorded as a
         graph node when grad mode is on and some input requires a gradient.
         `vjps` holds an (input, vjp) pair per input; only the pairs whose
-        input requires a gradient are kept."""
+        input requires a gradient are kept, each with the input's node in
+        place of the input."""
         out = cls.__new__(cls)
         out.data = np.asarray(data)
         out.grad = None
-        out._vjps = tuple([pair for pair in vjps if pair[0].requires_grad]) \
+        out._vjps = ()
+        pairs = tuple([(p._node or p, vjp) for p, vjp in vjps if p.requires_grad]) \
             if _grad_enabled else ()
-        out.requires_grad = bool(out._vjps)
+        out._node = _Node(pairs) if pairs else None
+        out.requires_grad = bool(pairs)
         return out
 
     # -- basic introspection ------------------------------------------------
@@ -113,9 +144,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def _accum(self, g: np.ndarray):
-        self.grad = g if self.grad is None else self.grad + g
-
     # -- backward traversal -------------------------------------------------
 
     def backward(self):
@@ -123,16 +151,16 @@ class Tensor:
         tensor that no op produced, such as a parameter), then release the
         graph.
 
-        The root must be a scalar that requires a gradient.  Traversal is
-        iterative topological order, so each node's vjps run exactly once
-        even on diamond graphs.  A first gradient is kept as its vjp returned
-        it and a later one rebinds `.grad` to the sum, so gradients may share
-        memory and none is written in place.  Once a node's vjps have run,
-        its `.grad` and vjps are dropped, and with them the activations the
-        vjps hold, so memory frees as the pass goes.  A released graph cannot
-        run backward again: a second call, or a backward through a value
-        computed from a released one, raises before touching any gradient.
-        Leaf gradients add up over graphs.
+        The root must be a scalar that requires a gradient.  Traversal walks
+        the nodes in iterative topological order, so each node's vjps run
+        exactly once even on diamond graphs.  A first gradient is kept as
+        its vjp returned it and a later one rebinds `.grad` to the sum, so
+        gradients may share memory and none is written in place.  Once a
+        node's vjps have run, its `.grad` and vjps are dropped, and with
+        them the arrays the vjps hold, so memory frees as the pass goes.  A
+        released graph cannot run backward again: a second call, or a
+        backward through a value computed from a released one, raises before
+        touching any gradient.  Leaf gradients add up over graphs.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.shape}")
@@ -140,9 +168,10 @@ class Tensor:
             raise RuntimeError(
                 "backward needs a root that depends on a tensor requiring a "
                 "gradient; this one was built under no_grad or from constants")
+        root = self._node or self
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -159,9 +188,9 @@ class Tensor:
             for p, _ in node._vjps:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accum(np.ones_like(self.data))
-        # Popping drops the pass's own reference to each node as well, so a
-        # node's value frees as soon as nothing outside the graph holds it.
+        root._accum(np.ones_like(self.data))
+        # Popping drops the pass's own reference to each node as well, so
+        # the arrays a node's vjps hold free as soon as it has run.
         while topo:
             node = topo.pop()
             if node._vjps:
@@ -174,17 +203,22 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
+        a_shape, b_shape = self.data.shape, other.data.shape
         return Tensor._from_op(self.data + other.data, (
-            (self, lambda g: _unbroadcast(g, self.data.shape)),
-            (other, lambda g: _unbroadcast(g, other.data.shape))))
+            (self, lambda g: _unbroadcast(g, a_shape)),
+            (other, lambda g: _unbroadcast(g, b_shape))))
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        # Each vjp keeps the other factor and its own shape, so the
+        # product of x and a constant keeps nothing of x.
         other = as_tensor(other)
-        return Tensor._from_op(self.data * other.data, (
-            (self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
-            (other, lambda g: _unbroadcast(g * self.data, other.data.shape))))
+        a, b = self.data, other.data
+        a_shape, b_shape = a.shape, b.shape
+        return Tensor._from_op(a * b, (
+            (self, lambda g: _unbroadcast(g * b, a_shape)),
+            (other, lambda g: _unbroadcast(g * a, b_shape))))
 
     __rmul__ = __mul__
 
@@ -200,8 +234,9 @@ class Tensor:
         return Tensor._from_op(out, ((self, lambda g: g * out * (1.0 - out)),))
 
     def relu(self):
+        positive = self.data > 0
         return Tensor._from_op(np.maximum(self.data, 0.0),
-                               ((self, lambda g: g * (self.data > 0)),))
+                               ((self, lambda g: g * positive),))
 
     def swish(self):
         """x * sigmoid(x)."""
@@ -210,8 +245,9 @@ class Tensor:
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None):
+        shape = self.data.shape
         return Tensor._from_op(self.data.sum(axis=axis), ((self, lambda g: np.broadcast_to(
-            g if axis is None else np.expand_dims(g, axis), self.data.shape)),))
+            g if axis is None else np.expand_dims(g, axis), shape)),))
 
     def mean(self, axis: int | None = None):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -238,8 +274,9 @@ class Tensor:
     # -- shape manipulation ----------------------------------------------------
 
     def reshape(self, *shape):
+        old_shape = self.data.shape
         return Tensor._from_op(self.data.reshape(shape),
-                               ((self, lambda g: g.reshape(self.data.shape)),))
+                               ((self, lambda g: g.reshape(old_shape)),))
 
     def transpose(self, *axes):
         if not axes:
@@ -248,8 +285,9 @@ class Tensor:
             (self, lambda g: g.transpose(tuple(np.argsort(axes)))),))
 
     def __getitem__(self, idx):
+        shape = self.data.shape
         return Tensor._from_op(self.data[idx], (
-            (self, lambda g: _scattered(self.data.shape, idx, g)),))
+            (self, lambda g: _scattered(shape, idx, g)),))
 
 
 def _scattered(shape: tuple, idx, g: np.ndarray) -> np.ndarray:
@@ -487,10 +525,14 @@ class Dropout:
         """The kept units (one uniform draw each), or None in eval mode."""
         if self.rng is None or self.p == 0.0:
             return None
-        return self.rng.uniform(size=shape) >= self.p
+        return self.rng.random(shape) >= self.p
 
     def _scaled(self, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        return x * (keep / (1.0 - self.p))
+        """x * (keep / (1 - p)), bit for bit (signed zeros included) where
+        x / (1 - p) is finite, without a full-size float64 copy of the mask."""
+        out = x * (1.0 / (1.0 - self.p))
+        out *= keep
+        return out
 
     def __call__(self, x: Tensor) -> Tensor:
         keep = self._keep(x.data.shape)

@@ -207,21 +207,36 @@ def save_model(path, model: SpeechTranslator, step: int, epoch: int):
 
 
 def load_model(path) -> tuple:
-    """Rebuild a model from one checkpoint; returns (model, metadata)."""
+    """Rebuild a model from one checkpoint; returns (model, metadata).  An
+    entry mismatch is reported after the checkpoint's path."""
     entries, metadata = load_checkpoint(path)
     cfg = config_from_metadata(metadata)
     model = SpeechTranslator(cfg, RngStream(0))
-    apply_entries(model, entries)
+    try:
+        apply_entries(model, entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, metadata
 
 
+def _listed(names: list) -> str:
+    """The first ten names, then how many more there are."""
+    shown = ", ".join(names[:10])
+    if len(names) > 10:
+        shown += f", … and {len(names) - 10} more"
+    return f"[{shown}]"
+
+
 def apply_entries(model: SpeechTranslator, entries: dict):
+    """Copy checkpoint entries into the model's parameters.  Names on one
+    side only are an error that counts them per side and lists them; so is
+    a shape that differs."""
     params = dict(model.named_parameters())
     missing = sorted(set(params) - set(entries))
     extra = sorted(set(entries) - set(params))
     if missing or extra:
-        raise ValueError(f"checkpoint does not match model: missing {missing[:3]}, "
-                         f"unexpected {extra[:3]}")
+        raise ValueError(f"checkpoint does not match model: {len(missing)} missing "
+                         f"{_listed(missing)}, {len(extra)} unexpected {_listed(extra)}")
     for name, p in params.items():
         arr = entries[name]
         if arr.shape != p.data.shape:
@@ -407,13 +422,12 @@ def train(model: SpeechTranslator, samples: list, cfg: TrainConfig,
         for batch in batches:
             step += 1
             lr = inverse_sqrt_lr(step, cfg)
-            feats = batch.features
+            feats = [s.features for s in batch.samples]
             if cfg.sa_freq_masks + cfg.sa_time_masks > 0:
-                feats = np.stack([
-                    spec_augment(feats[i], cfg,
-                                 root.child("specaug", epoch, utt_id))
-                    for i, utt_id in enumerate(batch.utt_ids)])
-            losses = _train_step(model, opt, feats, batch,
+                feats = [spec_augment(s.features, cfg,
+                                      root.child("specaug", epoch, s.utt_id))
+                         for s in batch.samples]
+            losses = _train_step(model, opt, np.stack(feats), batch,
                                  root.child("dropout", step), lr, cfg)
             emit(format_metric_line(step, lr, *losses))
             if max_steps is not None and step >= max_steps:

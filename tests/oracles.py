@@ -8,8 +8,9 @@ the band helpers and relative attention are checked on; `band_gather` and
 `band_sum` make the two band helpers graph ops of their own, as the
 attention core used them before it became one op; `composite_weighted_sum`
 is the DLCL layer mix built from general ops, with `stack` as one of them,
-as it was before `weighted_sum` became one op; `retaining_backward` is the
-graph engine without graph release, and, with `zero_fill`, with the
+as it was before `weighted_sum` became one op; `node_of` reads the graph
+node of a tensor, for the tests that walk graphs; `retaining_backward` is
+the graph engine without graph release, and, with `zero_fill`, with the
 accumulator it had before gradients became values; `greedy_decode` is the
 decoder beam search must equal at beam 1; `edit_distance`,
 `edit_accuracy` and `token_accuracy` score the toy task and the CTC branch
@@ -73,15 +74,24 @@ def composite_weighted_sum(xs: list, w: Tensor) -> Tensor:
     return (stack(xs) * w.reshape(n, *(1,) * xs[0].ndim)).sum(axis=0)
 
 
+def node_of(t: Tensor):
+    """The graph node that backward walks for `t`: the node its op recorded,
+    or `t` itself for a leaf or an untracked value.  A node's `_vjps` holds
+    (input node, vjp) pairs."""
+    return t._node or t
+
+
 def retaining_backward(root: Tensor, zero_fill: bool = False) -> dict:
     """`Tensor.backward` as it was before it released graphs: the same
     traversal and accumulation, with every node keeping its gradient and
-    vjps.  Returns {id(tensor): gradient} for every tensor the pass reached,
-    and leaves `.grad` alone.  With `zero_fill`, each gradient starts as
-    zeros in the layout of the tensor's data and every share is added into
+    vjps.  Returns {id(node): gradient} for every node the pass reached (a
+    leaf is its own node), and leaves `.grad` alone.  With `zero_fill`,
+    each gradient starts as C-ordered zeros and every share is added into
     it in place, as the engine accumulated before it kept the first share
-    as given."""
-    topo, visited, pending = [], set(), [(root, False)]
+    as given (it took the layout of the tensor's data, which a node no
+    longer holds)."""
+    start = node_of(root)
+    topo, visited, pending = [], set(), [(start, False)]
     while pending:
         node, expanded = pending.pop()
         if expanded:
@@ -92,14 +102,14 @@ def retaining_backward(root: Tensor, zero_fill: bool = False) -> dict:
             pending.extend((p, False) for p, _ in node._vjps if id(p) not in visited)
     grads = {}
 
-    def accum(t: Tensor, g: np.ndarray):
+    def accum(node, g: np.ndarray):
         if zero_fill:
-            grads.setdefault(id(t), np.zeros_like(t.data))
-            grads[id(t)] += g
+            grads.setdefault(id(node), np.zeros(g.shape))
+            grads[id(node)] += g
         else:
-            grads[id(t)] = g if id(t) not in grads else grads[id(t)] + g
+            grads[id(node)] = g if id(node) not in grads else grads[id(node)] + g
 
-    accum(root, np.ones_like(root.data))
+    accum(start, np.ones_like(root.data))
     for node in reversed(topo):
         for p, vjp in node._vjps:
             accum(p, vjp(grads[id(node)]))

@@ -466,6 +466,20 @@ class TestExitCodes:
                      "--subwords", str(workspace["prep"]), *args[command]])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: checkpoint does not match model")
+        assert err.startswith(f"error: {old}: checkpoint does not match model")
         assert err.count("\n") == 1 and "wk.bias" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ckpt"]
+
+    def test_ensemble_with_an_old_layout_member_names_it(self, workspace, tmp_path,
+                                                         capsys):
+        good = workspace["run"] / "epoch0002.ckpt"
+        old = tmp_path / "old.ckpt"
+        save_old_layout(old, load_model(good)[0])
+        code = main(["decode", "--checkpoint", str(good), str(old),
+                     "--manifest", str(workspace["corpus"] / "dev.tsv"),
+                     "--subwords", str(workspace["prep"]),
+                     "--out", str(tmp_path / "dev.hyp")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "old.ckpt" in err and good.name not in err

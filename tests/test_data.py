@@ -1,5 +1,7 @@
 """Tests for manifests, dataset assembly, and exact-shape batching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,10 @@ def _sample(utt_id, t, src, tgt):
     return Sample(utt_id, np.zeros((t, 80)), list(src), list(tgt))
 
 
+def _ids(batches: list) -> list:
+    return [[s.utt_id for s in b.samples] for b in batches]
+
+
 class TestMakeBatches:
     def test_groups_are_shape_exact(self):
         samples = [
@@ -121,7 +127,8 @@ class TestMakeBatches:
         ]
         batches = make_batches(samples, frame_budget=1000)
         for b in batches:
-            assert b.features.shape[0] == len(b)
+            assert len(b.samples) == len(b) == b.targets.shape[0]
+            assert len({s.features.shape for s in b.samples}) == 1
             assert len(b.src_targets) == len(b)
         # a, b and c share (T, tgt_len) and fit one batch, whatever their
         # transcript lengths; d differs in frames.
@@ -148,15 +155,29 @@ class TestMakeBatches:
         samples = [_sample(f"u{i}", 10 + (i % 3), [6], [7]) for i in range(9)]
         a = make_batches(samples, frame_budget=100)
         b = make_batches(list(reversed(samples)), frame_budget=100)
-        assert [x.utt_ids for x in a] == [y.utt_ids for y in b]
+        assert _ids(a) == _ids(b)
 
     def test_shuffle_is_seeded(self):
         samples = [_sample(f"u{i}", 10 + i, [6], [7]) for i in range(20)]
         a = make_batches(samples, frame_budget=100, rng=RngStream(3))
         b = make_batches(samples, frame_budget=100, rng=RngStream(3))
         c = make_batches(samples, frame_budget=100, rng=RngStream(4))
-        assert [x.utt_ids for x in a] == [y.utt_ids for y in b]
-        assert [x.utt_ids for x in a] != [z.utt_ids for z in c]
+        assert _ids(a) == _ids(b)
+        assert _ids(a) != _ids(c)
+
+    def test_batches_hold_samples_not_a_copy_of_their_features(self):
+        # 60 utterances in three frame counts, shuffled into batches: the
+        # batches allocate less than one utterance's (40, 80) features, since
+        # the training step stacks a batch's features when it runs it.
+        samples = [_sample(f"u{i}", 40 + i % 3, [6], [7, 8]) for i in range(60)]
+        tracemalloc.start()
+        try:
+            batches = make_batches(samples, frame_budget=1000, rng=RngStream(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(b) for b in batches) == 60
+        assert peak < samples[0].features.nbytes, f"{peak} bytes"
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

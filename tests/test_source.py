@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import node_of
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "tinyst"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
@@ -110,8 +112,9 @@ def _record_ops(monkeypatch) -> set:
 
     def recording(cls, data, vjps):
         out = real(data, vjps)
-        if out._vjps:
-            reached.add(out._vjps[0][1].__qualname__.split(".<locals>.")[0])
+        kept = node_of(out)._vjps
+        if kept:
+            reached.add(kept[0][1].__qualname__.split(".<locals>.")[0])
         return out
 
     monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))

@@ -1,11 +1,12 @@
 """Tests for the autodiff tensor core."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from oracles import (band_gather, band_sum, relative_position_index,
+from oracles import (band_gather, band_sum, node_of, relative_position_index,
                      retaining_backward)
 from tinyst import tensor as T
 from tinyst.losses import ctc_loss_batch, label_smoothed_ce, multitask_loss
@@ -340,15 +341,18 @@ class TestBackward:
         s = h.softmax(axis=-1)
         y = (s + h).sum()
         y.backward()
-        for node in (h, s, y):
-            assert node.grad is None and node._vjps is None
-        assert x.grad is not None and x._vjps == ()
+        # Each op result's node is released; the leaf is its own node and
+        # keeps its gradient.
+        for t in (h, s, y):
+            node = node_of(t)
+            assert node is not t and node.grad is None and node._vjps is None
+        assert node_of(x) is x and x.grad is not None and x._vjps == ()
 
     def test_no_grad_blocks_graph(self):
         x = Tensor(2.0, requires_grad=True)
         with T.no_grad():
             y = x * x
-        assert y._vjps == () and not y.requires_grad
+        assert node_of(y) is y and y._vjps == () and not y.requires_grad
 
 
 def sum_sq(y):
@@ -399,14 +403,16 @@ OPS = {
 
 
 def recorded_nodes(monkeypatch) -> list:
-    """Patch `Tensor._from_op` to append, for each new node, the inputs its
-    op offered and the inputs the node kept."""
+    """Patch `Tensor._from_op` to append, for each op call, the nodes of
+    the offered inputs that require a gradient and the input nodes that the
+    result's node kept."""
     nodes = []
     real = Tensor._from_op
 
     def recording(cls, data, vjps):
         out = real(data, vjps)
-        nodes.append(([p for p, _ in vjps], [p for p, _ in out._vjps]))
+        nodes.append(([node_of(p) for p, _ in vjps if p.requires_grad],
+                      [p for p, _ in node_of(out)._vjps]))
         return out
 
     monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
@@ -424,8 +430,8 @@ class TestGraphRecording:
         # With gradients on, every node keeps exactly its tracked inputs, in
         # order, and every node here has one.
         assert nodes
-        for offered, kept in nodes:
-            assert kept and kept == [p for p in offered if p.requires_grad]
+        for tracked_inputs, kept in nodes:
+            assert kept and kept == tracked_inputs
         nodes.clear()
         with T.no_grad():
             untracked = OPS[name](x)
@@ -442,6 +448,52 @@ class TestGraphRecording:
         out = OPS[name](x)
         assert nodes and not any(kept for _, kept in nodes)
         assert not out.requires_grad
+
+
+def _scatter(shape: tuple, idx, c: np.ndarray) -> np.ndarray:
+    out = np.zeros(shape)
+    out[idx] = c
+    return out
+
+
+# Ops whose vjps read no value of their input (a shape, a constant factor or
+# a boolean mask is all they keep), each with the adjoint that maps weights
+# c on its output back to its (4, 4) input h, written out in numpy.
+SHAPE_ONLY = {
+    "add": (lambda h: h + 1.5, lambda c, h: c),
+    "reshape": (lambda h: h.reshape(2, 8), lambda c, h: c.reshape(4, 4)),
+    "transpose": (lambda h: h.transpose(), lambda c, h: c.T),
+    "getitem": (lambda h: h[1:3, ::2], lambda c, h: _scatter((4, 4), np.s_[1:3, ::2], c)),
+    "sum": (lambda h: h.sum(axis=0), lambda c, h: np.broadcast_to(c, (4, 4))),
+    "mul_constant": (lambda h: h * 0.5, lambda c, h: c * 0.5),
+    # The float mask of the same draws, as dropout multiplied before it
+    # kept a boolean mask.
+    "dropout": (lambda h: T.Dropout(0.25, RngStream(7))(h),
+                lambda c, h: c * ((RngStream(7).uniform(size=(4, 4)) >= 0.25) / 0.75)),
+    "relu": (lambda h: h.relu(), lambda c, h: c * (h > 0)),
+}
+
+
+class TestGraphKeepsOnlyWhatVjpsRead:
+    @pytest.mark.parametrize("name", sorted(SHAPE_ONLY))
+    def test_an_intermediate_that_no_vjp_reads_is_freed(self, name):
+        # h = x * x feeds one such op, then a weighted sum.  Once the forward
+        # drops h, its array is gone while the loss's graph is alive, and
+        # backward still gives 2x times the op's adjoint of the weights.
+        op, adjoint = SHAPE_ONLY[name]
+        values = np.random.default_rng(29).normal(size=(4, 4))
+        x = Tensor(values, requires_grad=True)
+        h = x * x
+        array = weakref.ref(h.data)
+        y = op(h)
+        c = np.arange(y.data.size, dtype=float).reshape(y.shape)
+        loss = (y * c).sum()
+        del h, y
+        assert array() is None
+        assert node_of(loss)._vjps
+        loss.backward()
+        want = adjoint(c, values * values) * values
+        assert x.grad.tobytes() == (want + want).tobytes()
 
 
 class TestGradCheckPerOp:
@@ -514,6 +566,11 @@ class TestDropout:
 
 
 class TestRngStream:
+    def test_random_gives_the_bits_of_uniform(self):
+        for size in [(3, 5, 7), 11, None]:
+            got = np.asarray(RngStream(8).random(size))
+            assert got.tobytes() == np.asarray(RngStream(8).uniform(size=size)).tobytes()
+
     def test_same_seed_same_draws(self):
         a = RngStream(42).normal(size=8)
         b = RngStream(42).normal(size=8)

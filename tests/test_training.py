@@ -363,11 +363,19 @@ class TestModelCheckpoint:
         names = set(load_checkpoint(path)[0])
         assert "encoder.dlcl.weights" in names
         assert "encoder.blocks.0.attn.wk.bias" in names
+        model_names = {name for name, _ in model.named_parameters()}
         with pytest.raises(ValueError, match="does not match model") as exc:
             load_model(path)
         message = str(exc.value)
-        assert "encoder.dlcl.weights.0" in message
-        assert "dec_layers.0.cross_attn.wk.bias" in message
+        assert message.startswith(f"{path}: ")
+        missing, unexpected = len(model_names - names), len(names - model_names)
+        assert f"{missing} missing [" in message
+        head, _, listed = message.partition(f", {unexpected} unexpected [")
+        assert "encoder.dlcl.weights.0" in head
+        # Every unexpected name is listed, the old square DLCL matrix too.
+        listed = listed.rstrip("]").split(", ")
+        assert sorted(listed) == sorted(names - model_names)
+        assert "encoder.dlcl.weights" in listed
 
     def test_save_load_preserves_values_exactly(self, tmp_path):
         model = _tiny_model()
@@ -429,6 +437,11 @@ class TestModelCheckpoint:
         bad = dict(entries)
         bad["ghost"] = np.zeros(3)
         with pytest.raises(ValueError, match="does not match"):
+            apply_entries(model, bad)
+        # Ten names per side, then how many more.
+        bad.update((f"ghost{i:02d}", np.zeros(3)) for i in range(12))
+        with pytest.raises(ValueError, match=r"13 unexpected \[ghost, ghost00, .*"
+                                             r"ghost08, … and 3 more\]"):
             apply_entries(model, bad)
 
     def test_apply_entries_rejects_shape_mismatch(self):
@@ -547,6 +560,15 @@ class TestTrainLoop:
         lines_b = train(_tiny_model(), samples, cfg)
         assert lines_a == lines_b
         assert any(line.startswith("step=1 ") for line in lines_a)
+
+    def test_training_leaves_sample_features_unchanged(self):
+        # SpecAugment masks a copy of each utterance, and the step stacks
+        # the copies: no epoch writes into the samples a batch holds.
+        samples, _ = _toy_samples()
+        before = [s.features.tobytes() for s in samples]
+        train(_tiny_model(), samples, TrainConfig(epochs=2, frame_budget=32,
+                                                  sa_time_fraction=0.2))
+        assert [s.features.tobytes() for s in samples] == before
 
     def test_different_seed_differs(self):
         samples, _ = _toy_samples()
